@@ -19,7 +19,8 @@
 // The CLI is a thin harness over gather::Service (src/api/) — the same
 // context object the C ABI in include/libgather.h wraps — so its
 // caches, resolution, and sweep execution are exactly what an embedder
-// gets.
+// gets. It parses no spec itself: its flags become api::spec_text lines,
+// so flag values go through the ABI's parser and sweep harness policy.
 //
 // Exit codes (the 0..3 subset of gather_status in include/libgather.h):
 //   0  success: detection certified, sweep completed, traces identical
@@ -33,9 +34,9 @@
 #include <fstream>
 #include <iostream>
 #include <optional>
-#include <sstream>
 
 #include "api/service.hpp"
+#include "api/spec_text.hpp"
 #include "core/timeline.hpp"
 #include "graph/io.hpp"
 #include "scenario/scenario.hpp"
@@ -46,32 +47,6 @@
 namespace {
 
 using namespace gather;
-
-std::vector<std::string> split_list(const std::string& text) {
-  std::vector<std::string> out;
-  std::stringstream ss(text);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    if (!item.empty()) out.push_back(item);
-  }
-  return out;
-}
-
-std::size_t parse_uint_strict(const std::string& item, const char* what) {
-  const std::optional<std::uint64_t> value = scenario::parse_uint(item);
-  if (!value) {
-    throw support::CliError(std::string("bad ") + what + " '" + item + "'");
-  }
-  return *value;
-}
-
-std::vector<std::size_t> split_sizes(const std::string& text) {
-  std::vector<std::size_t> out;
-  for (const std::string& item : split_list(text)) {
-    out.push_back(parse_uint_strict(item, "size"));
-  }
-  return out;
-}
 
 template <typename Factory>
 void print_registry(std::ostream& os, const std::string& title,
@@ -196,36 +171,79 @@ void print_list_md(std::ostream& os) {
         "sweep.\n";
 }
 
-scenario::ScenarioSpec base_spec(const support::CliParser& cli) {
-  scenario::ScenarioSpec spec;
-  spec.family = cli.get("graph");
-  spec.family_params = scenario::Params::parse(cli.get("params"));
+// ---- flags -> spec text ---------------------------------------------------
+
+// Every flag that feeds a spec, and the api::spec_text key it becomes;
+// api::parse_run_spec / parse_sweep_spec turn the text into the spec.
+struct SpecFlag {
+  const char* flag;
+  const char* key;
+  bool sweep_only;
+};
+
+constexpr SpecFlag kSpecFlags[] = {
+    {"graph", "family", false},
+    {"params", "family_params", false},
+    {"n", "n", false},
+    {"k", "k", false},
+    {"placement", "placement", false},
+    {"placement-params", "placement_params", false},
+    {"labeling", "labeling", false},
+    {"algorithm", "algorithm", false},
+    {"uxs", "sequence", false},
+    {"scheduler", "scheduler", false},
+    {"scheduler-params", "scheduler_params", false},
+    {"delta-aware", "delta_aware", false},
+    {"known-distance", "known_min_pair_distance", false},
+    {"seed", "seed", false},
+    {"hard-cap", "hard_cap", false},
+    {"decide-threads", "decide_threads", false},
+    {"timeline", "record_trace", false},
+    {"record", "trace_path", false},
+    {"families", "families", true},
+    {"sizes", "sizes", true},
+    {"k-rules", "k_rules", true},
+    {"placements", "placements", true},
+    {"algorithms", "algorithms", true},
+    {"schedulers", "schedulers", true},
+    {"seeds", "seeds", true},
+    {"threads", "threads", true},
+    {"steal-chunk", "steal_chunk", true},
+    {"cache", "use_result_cache", true},
+    {"trace-dir", "trace_dir", true},
+};
+
+std::string spec_text(const support::CliParser& cli, bool sweep) {
+  // The text is line-based: a newline inside a value would smuggle in
+  // a second key.
+  const auto value = [&cli](const std::string& flag) {
+    std::string v = cli.get(flag);
+    if (v.find('\n') != std::string::npos) {
+      throw support::CliError("--" + flag + " value contains a newline");
+    }
+    return v;
+  };
+  std::string text;
+  const auto line = [&text](const std::string& key, const std::string& v) {
+    text += key;
+    text += '=';
+    text += v;
+    text += '\n';
+  };
+  for (const SpecFlag& f : kSpecFlags) {
+    if (sweep || !f.sweep_only) line(f.key, value(f.flag));
+  }
+  // Shorthands append to a param bag; a later line overrides an
+  // earlier one, and a later param overrides an earlier one.
   if (cli.provided("graph-file")) {
-    spec.family = "file";
-    spec.family_params.set("path", cli.get("graph-file"));
+    line("family", "file");
+    line("family_params", value("params") + ",path=" + value("graph-file"));
   }
-  spec.n = cli.get_uint("n");
-  spec.k = cli.get_uint("k");
-  spec.placement = cli.get("placement");
-  spec.placement_params = scenario::Params::parse(cli.get("placement-params"));
   if (cli.provided("pair-distance")) {
-    spec.placement_params.set("distance", cli.get("pair-distance"));
+    line("placement_params",
+         value("placement-params") + ",distance=" + value("pair-distance"));
   }
-  spec.labeling = cli.get("labeling");
-  spec.algorithm = cli.get("algorithm");
-  spec.sequence = cli.get("uxs");
-  spec.scheduler = cli.get("scheduler");
-  spec.scheduler_params = scenario::Params::parse(cli.get("scheduler-params"));
-  spec.delta_aware = cli.get_flag("delta-aware");
-  if (cli.provided("known-distance")) {
-    spec.known_min_pair_distance = static_cast<int>(cli.get_int("known-distance"));
-  }
-  spec.seed = cli.get_uint("seed");
-  spec.hard_cap = cli.get_uint("hard-cap");
-  spec.decide_threads = static_cast<unsigned>(cli.get_uint("decide-threads"));
-  spec.record_trace = cli.get_flag("timeline");
-  spec.trace_path = cli.get("record");
-  return spec;
+  return text;
 }
 
 // ---- binary trace surfaces (--replay / --diff) ---------------------------
@@ -281,36 +299,8 @@ int run_diff(const support::CliParser& cli) {
 }
 
 int run_sweep(const support::CliParser& cli, Service& service) {
-  scenario::SweepSpec sweep;
-  sweep.base = base_spec(cli);
-  sweep.families = split_list(cli.get("families"));
-  sweep.sizes = split_sizes(cli.get("sizes"));
-  sweep.placements = split_list(cli.get("placements"));
-  sweep.algorithms = split_list(cli.get("algorithms"));
-  sweep.schedulers = split_list(cli.get("schedulers"));
-  for (const std::string& rule : split_list(cli.get("k-rules"))) {
-    sweep.k_rules.push_back(scenario::parse_k_rule(rule));
-  }
-  for (const std::string& seed : split_list(cli.get("seeds"))) {
-    sweep.seeds.push_back(parse_uint_strict(seed, "seed"));
-  }
-  sweep.threads = static_cast<unsigned>(cli.get_uint("threads"));
-  sweep.steal_chunk = cli.get_uint("steal-chunk");
-  sweep.use_result_cache = cli.get_flag("cache");
-  sweep.trace_dir = cli.get("trace-dir");
-  sweep.base.trace_path.clear();  // --record is single-run only
-  // Cheap pre-filter on the REQUESTED n; families that round n (e.g.
-  // hypercube) can still reject k at resolve time, so infeasible points
-  // are additionally skipped rather than aborting the sweep.
-  sweep.filter = [](const scenario::ScenarioSpec& s) {
-    return s.k >= 2 && s.k <= s.n;
-  };
-  sweep.skip_infeasible = true;
-  // Adversarial schedulers can legitimately break protocol invariants
-  // mid-run; report that per row (the `violation` column) instead of
-  // aborting a user's sweep.
-  sweep.tolerate_protocol_violations = true;
-
+  const scenario::SweepSpec sweep =
+      api::parse_sweep_spec(spec_text(cli, true));
   scenario::SweepStats stats;
   const std::vector<scenario::SweepRow> rows = service.sweep(sweep, &stats);
   const std::string format = cli.get("format");
@@ -353,7 +343,8 @@ int run_sweep(const support::CliParser& cli, Service& service) {
 }
 
 int run_single(const support::CliParser& cli, Service& service) {
-  const scenario::ScenarioSpec spec = base_spec(cli);
+  const scenario::ScenarioSpec spec =
+      api::parse_run_spec(spec_text(cli, false));
   const scenario::ResolvedScenario resolved = service.resolve(spec);
 
   std::cout << "instance: n=" << resolved.realized_n;

@@ -1,5 +1,6 @@
 #include "api/spec_text.hpp"
 
+#include <limits>
 #include <optional>
 #include <sstream>
 #include <vector>
@@ -54,11 +55,27 @@ bool parse_bool_value(const Line& line) {
                       line.value + "' (want 0/1/true/false)");
 }
 
+/// `value` narrowed to T, range-checked: untrusted text must never wrap
+/// (4294967296 threads is an error, not 0 = auto).
+template <typename T>
+T narrow_value(const Line& line, std::uint64_t value) {
+  if (value > static_cast<std::uint64_t>(std::numeric_limits<T>::max())) {
+    throw ScenarioError("value for spec key '" + line.key +
+                        "' out of range: '" + line.value + "'");
+  }
+  return static_cast<T>(value);
+}
+
+template <typename T>
+T parse_narrow_value(const Line& line) {
+  return narrow_value<T>(line, parse_uint_value(line));
+}
+
+/// A signed int: an optional '-' and a magnitude of at most INT_MAX.
 int parse_int_value(const Line& line) {
   const bool negative = !line.value.empty() && line.value[0] == '-';
-  const Line digits{line.key,
-                    negative ? line.value.substr(1) : line.value};
-  const int magnitude = static_cast<int>(parse_uint_value(digits));
+  const Line digits{line.key, negative ? line.value.substr(1) : line.value};
+  const int magnitude = narrow_value<int>(line, parse_uint_value(digits));
   return negative ? -magnitude : magnitude;
 }
 
@@ -97,7 +114,7 @@ bool apply_run_key(scenario::ScenarioSpec& spec, const Line& line) {
   } else if (line.key == "k") {
     spec.k = parse_uint_value(line);
   } else if (line.key == "id_exponent_b") {
-    spec.id_exponent_b = static_cast<unsigned>(parse_uint_value(line));
+    spec.id_exponent_b = parse_narrow_value<unsigned>(line);
   } else if (line.key == "seed") {
     spec.seed = parse_uint_value(line);
   } else if (line.key == "delta_aware") {
@@ -109,7 +126,7 @@ bool apply_run_key(scenario::ScenarioSpec& spec, const Line& line) {
   } else if (line.key == "hard_cap") {
     spec.hard_cap = parse_uint_value(line);
   } else if (line.key == "decide_threads") {
-    spec.decide_threads = static_cast<unsigned>(parse_uint_value(line));
+    spec.decide_threads = parse_narrow_value<unsigned>(line);
   } else if (line.key == "trace_path") {
     spec.trace_path = line.value;
   } else {
@@ -160,7 +177,7 @@ scenario::SweepSpec parse_sweep_spec(const std::string& text) {
         sweep.seeds.push_back(parse_uint_value(Line{line.key, item}));
       }
     } else if (line.key == "threads") {
-      sweep.threads = static_cast<unsigned>(parse_uint_value(line));
+      sweep.threads = parse_narrow_value<unsigned>(line);
     } else if (line.key == "steal_chunk") {
       sweep.steal_chunk = parse_uint_value(line);
     } else if (line.key == "use_result_cache") {
@@ -173,11 +190,11 @@ scenario::SweepSpec parse_sweep_spec(const std::string& text) {
       unknown_key(line, "sweep");
     }
   }
-  // The gather_cli --sweep harness policy, applied identically so the
-  // ABI's CSV bytes match the CLI's for the same grid: drop points
-  // whose k is outside [2, n] up front, skip points a rounding family
-  // rejects at resolve time, and record adversarial protocol
-  // violations per row instead of aborting.
+  // The sweep harness policy, the one copy every front door shares:
+  // drop points whose k is outside [2, n] up front (a cheap filter on
+  // the REQUESTED n), skip points a rounding family (e.g. hypercube)
+  // rejects at resolve time, and record adversarial protocol violations
+  // per row (the `violation` column) instead of aborting the sweep.
   sweep.base.trace_path.clear();  // trace_path is single-run only
   sweep.filter = [](const scenario::ScenarioSpec& s) {
     return s.k >= 2 && s.k <= s.n;

@@ -1,19 +1,21 @@
-// Text form of ScenarioSpec/SweepSpec for the C ABI — the boundary's
-// wire format.
+// Text form of ScenarioSpec/SweepSpec: the one parser that turns user
+// input into a spec, for the C ABI and for gather_cli alike.
 //
 // One `key=value` pair per line, keys named exactly after the spec
 // fields ("family=torus", "n=16", "families=ring,torus"); '#' starts a
 // comment line, blank lines are skipped. The value is everything after
 // the FIRST '=', so param bags keep their CLI spelling
-// ("family_params=rows=4,cols=5"). Unknown keys and malformed values throw
-// ScenarioError with the offending line, which the ABI translates to
-// GATHER_STATUS_USAGE — a C caller's typo is a usage error, never UB.
+// ("family_params=rows=4,cols=5"). Unknown keys and malformed or
+// out-of-range values throw ScenarioError naming the key, which the ABI
+// translates to GATHER_STATUS_USAGE and gather_cli to exit 2 — a
+// caller's typo is a usage error, never UB.
 //
-// parse_sweep_spec applies the same harness policy as `gather_cli
-// --sweep` (k in [2, n] pre-filter, skip_infeasible, tolerated
-// protocol violations) so the CSV bytes out of gather_sweep_csv are
-// identical to the CLI's for the same grid — pinned by tests/
-// api_test.cpp.
+// parse_sweep_spec holds the one copy of the sweep harness policy
+// (k in [2, n] pre-filter, skip_infeasible, tolerated protocol
+// violations). gather_cli writes its flags as this text and calls the
+// same parser, so `gather_cli --sweep` and gather_sweep_csv emit the
+// same CSV bytes for the same grid — pinned by tests/api_test.cpp
+// against tests/data/golden_sweep_policy.csv.
 //
 // Not part of the extern "C" surface: this file may throw (the ABI's
 // translate helper is the only place exceptions become status codes).

@@ -43,7 +43,7 @@
 // Layer contract: sim/ (no dependency on scenario/ or core/); depends
 // on support/ only. Harness surfaces: scenario::ScenarioSpec::
 // trace_path, scenario::SweepSpec::trace_dir, gather_cli
-// --record/--replay/--diff, tools/trace_diff.
+// --record/--replay/--diff.
 #pragma once
 
 #include <cstdint>

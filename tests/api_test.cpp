@@ -168,6 +168,29 @@ TEST(CAbiTest, SweepCsvMatchesSweepRunnerBytes) {
   EXPECT_EQ(abi_sweep_csv(grid + "threads=4\n"), reference.str());
 }
 
+TEST(CAbiTest, SweepCsvMatchesGoldenPolicyBytes) {
+  // The byte referee for the sweep harness policy, generated once and
+  // committed; CI cmps `gather_cli --sweep` on the same grid against it.
+  // The grid hits all three arms: 32 points, 24 after the k in [2, n]
+  // filter, 22 rows after one infeasible skip per seed (hypercube n=10
+  // realizes 8 < k=9), and 9 rows recorded with violation=1.
+  std::ifstream in(std::string(GATHER_TEST_DATA_DIR) +
+                   "/golden_sweep_policy.csv");
+  ASSERT_TRUE(in.good());
+  std::ostringstream golden;
+  golden << in.rdbuf();
+  const std::string grid =
+      "families=ring,hypercube\n"
+      "sizes=8,10\n"
+      "k_rules=3,9\n"
+      "placements=undispersed,adversarial\n"
+      "scheduler=adversarial-delay\n"
+      "scheduler_params=max-delay=6\n"
+      "seeds=1,2\n";
+  EXPECT_EQ(abi_sweep_csv(grid + "threads=1\n"), golden.str());
+  EXPECT_EQ(abi_sweep_csv(grid + "threads=4\n"), golden.str());
+}
+
 TEST(CAbiTest, RepeatedRunsHitTheServiceResultCache) {
   ServiceHandle service;
   char* first = nullptr;
@@ -232,6 +255,20 @@ TEST(CAbiTest, BadSpecTextIsUsage) {
   EXPECT_EQ(gather_run_json(service.ptr, "not a key value line\n", &json),
             GATHER_STATUS_USAGE);
   EXPECT_EQ(gather_sweep_csv(service.ptr, "sizes=twelve\n", &json),
+            GATHER_STATUS_USAGE);
+  // Narrowed keys are range-checked, never wrapped or overflowed, and
+  // the error names the key.
+  for (const std::string line :
+       {"known_min_pair_distance=-2147483648", "known_min_pair_distance=4294967297",
+        "decide_threads=4294967296", "id_exponent_b=4294967298"}) {
+    EXPECT_EQ(gather_run_json(service.ptr, (line + "\n").c_str(), &json),
+              GATHER_STATUS_USAGE)
+        << line;
+    EXPECT_NE(std::string(gather_last_error()).find(line.substr(0, line.find('='))),
+              std::string::npos)
+        << gather_last_error();
+  }
+  EXPECT_EQ(gather_sweep_csv(service.ptr, "threads=4294967296\n", &json),
             GATHER_STATUS_USAGE);
 }
 
