@@ -18,6 +18,7 @@
 #include "graph/generators.hpp"
 #include "graph/implicit.hpp"
 #include "graph/placement.hpp"
+#include "scenario/scenario.hpp"
 #include "sim/engine.hpp"
 #include "sim/trace.hpp"
 #include "uxs/uxs.hpp"
@@ -206,6 +207,39 @@ void BM_FullFasterGathering(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FullFasterGathering)->Arg(8)->Arg(16)->Arg(32);
+
+void BM_SemiSynchronousClock(benchmark::State& state) {
+  // The SSYNC path end to end: one Faster-Gathering run on ring n=12,
+  // k=4 under semi-synchronous suppression at fairness 4. Robots sleep
+  // through most of the schedule, so the run is dominated by the lazy
+  // local-clock catch-up (Scheduler::count_activations) over the skipped
+  // global rounds; the counters say how much of that work a row did.
+  scenario::ScenarioSpec spec;
+  spec.family = "ring";
+  spec.n = 12;
+  spec.k = 4;
+  spec.scheduler = "semi-synchronous";
+  spec.scheduler_params.set("fairness", "4");
+  spec.seed = 1;
+  const scenario::ResolvedScenario resolved = scenario::resolve(spec);
+  sim::RunMetrics metrics;
+  double run_s = 0.0;
+  for (auto _ : state) {
+    const auto t0 = std::chrono::steady_clock::now();
+    metrics = scenario::run_resolved(resolved, "").result.metrics;
+    run_s += std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                           t0)
+                 .count();
+    benchmark::DoNotOptimize(metrics.trace_hash);
+  }
+  const double rounds = static_cast<double>(metrics.rounds) *
+                        static_cast<double>(state.iterations());
+  state.counters["global_rounds"] = static_cast<double>(metrics.rounds);
+  state.counters["decisions"] = static_cast<double>(metrics.decision_calls);
+  state.counters["ns_per_global_round"] =
+      rounds > 0 ? run_s * 1e9 / rounds : 0.0;
+}
+BENCHMARK(BM_SemiSynchronousClock)->Unit(benchmark::kMillisecond);
 
 /// Console reporter that also collects every run into a BenchJson row.
 class JsonTeeReporter final : public benchmark::ConsoleReporter {

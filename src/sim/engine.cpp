@@ -138,16 +138,11 @@ bool Engine::heap_pop_next(Round& round) {
 void Engine::sync_local(std::uint32_t slot, Round r) {
   // Lazy catch-up of the activation-count clock: every adversary-activated
   // round in the skipped stretch ticked the clock, acted on or not.
-  // activates() is pure, so this recount agrees exactly with the
-  // round-by-round increments naive stepping performs.
-  Round g = synced_to_[slot];
-  if (g >= r) return;
-  Round ticks = 0;
-  const RobotId id = ids_[slot];
-  for (; g < r; ++g) {
-    if (sched_->activates(g, slot, id)) ++ticks;
-  }
-  local_[slot] += ticks;
+  // activates() is pure, so this one count over [synced_to_, r) agrees
+  // exactly with the round-by-round increments naive stepping performs.
+  const Round from = synced_to_[slot];
+  if (from >= r) return;
+  local_[slot] += sched_->count_activations(from, r, slot, ids_[slot]);
   synced_to_[slot] = r;
 }
 

@@ -33,8 +33,9 @@
 //    since its release. Stay{until} deadlines are local too. For
 //    non-suppressing schedulers local time is `global − release` and the
 //    translation is two adds; under suppression the engine keeps a
-//    per-slot clock that is advanced lazily by counting the scheduler's
-//    pure activates() predicate over skipped stretches, and sleep
+//    per-slot clock that is advanced lazily, one
+//    Scheduler::count_activations() call per catch-up over a skipped
+//    stretch (the count of the pure activates() predicate), and sleep
 //    deadlines become *conservative* global wakes (local time advances
 //    at most one per round) that are re-checked on wake and pushed out
 //    by the remaining deficit — so event-driven skipping stays exact
@@ -279,8 +280,8 @@ class Engine {
   template <int Mode>
   std::uint64_t decide_one(std::uint32_t s, Round r);
 
-  /// Advance slot's local clock over [synced_to_, r) by counting the
-  /// scheduler's activates() predicate (suppressing schedulers only).
+  /// Advance slot's local clock over [synced_to_, r) with one
+  /// Scheduler::count_activations() call (suppressing schedulers only).
   void sync_local(std::uint32_t slot, Round r);
   /// Whether the inactive slot is carried by a take-followers move of
   /// its standing-follow chain this round; fills carry_edge_[slot].

@@ -27,6 +27,15 @@ Round Scheduler::crash_round(std::uint32_t, RobotId) const { return kNoRound; }
 
 bool Scheduler::activates(Round, std::uint32_t, RobotId) const { return true; }
 
+Round Scheduler::count_activations(Round from, Round to, std::uint32_t slot,
+                                   RobotId id) const {
+  Round count = 0;
+  for (Round g = from; g < to; ++g) {
+    if (activates(g, slot, id)) ++count;
+  }
+  return count;
+}
+
 Round Scheduler::fairness_bound() const { return 0; }
 
 Round Scheduler::extend_cap(Round cap) const { return cap; }
@@ -82,6 +91,31 @@ bool SemiSynchronousScheduler::activates(Round r, std::uint32_t slot,
   const Round phase = draw(seed_, 0x5c, slot) % fairness_;
   if (r % fairness_ == phase) return true;
   return (draw(seed_, support::hash_combine(0xa1, r), slot) & 1) != 0;
+}
+
+Round SemiSynchronousScheduler::count_activations(Round from, Round to,
+                                                  std::uint32_t slot,
+                                                  RobotId) const {
+  // activates() summed over [from, to): the phase is drawn once, the
+  // residue g % fairness_ advances with g, and the coin is the same draw.
+  const Round phase = draw(seed_, 0x5c, slot) % fairness_;
+  Round residue = from % fairness_;
+  Round count = 0;
+  // The local-clock catch-up runs over every skipped round of a suppressed
+  // robot; gather_lint keeps it allocation-free.
+  // gather-lint: hot-path-begin(ssync-clock)
+  for (Round g = from; g < to; ++g) {
+    // The coin is added, not branched on: a branch on a fair coin
+    // mispredicts every other round and serializes the hash chains.
+    if (residue == phase) {
+      ++count;
+    } else {
+      count += draw(seed_, support::hash_combine(0xa1, g), slot) & 1;
+    }
+    if (++residue == fairness_) residue = 0;
+  }
+  // gather-lint: hot-path-end(ssync-clock)
+  return count;
 }
 
 Round SemiSynchronousScheduler::extend_cap(Round cap) const {

@@ -44,7 +44,11 @@
 //    local clock by one, so the engine derives each robot's local time
 //    by counting this predicate over the global rounds since release
 //    (lazily, via the conservative-wake/re-check machinery in
-//    sim/engine.cpp).
+//    sim/engine.cpp): each catch-up over a skipped stretch [from, to) is
+//    one count_activations(from, to, slot, id) call. Its default loops
+//    over activates(), so a scheduler that overrides only the predicate
+//    stays exact; SemiSynchronousScheduler overrides both with the same
+//    bits and counts without a virtual call per round.
 //
 // The synchronous scheduler answers (0, never, always) — bit-identical
 // to an engine with no scheduler at all (pinned by
@@ -82,6 +86,14 @@ class Scheduler {
   /// fairness_bound() > 0.
   [[nodiscard]] virtual bool activates(Round r, std::uint32_t slot,
                                        RobotId id) const;
+
+  /// The number of rounds g in [from, to) for which activates(g, slot, id)
+  /// holds (0 when from >= to) — the engine's local-clock catch-up over a
+  /// skipped stretch, one call per catch-up. The default loops over
+  /// activates(); an override must return exactly that count.
+  [[nodiscard]] virtual Round count_activations(Round from, Round to,
+                                                std::uint32_t slot,
+                                                RobotId id) const;
 
   /// Suppression window: a pending robot is activated at least once every
   /// this-many rounds. 0 = this scheduler never suppresses (the engine
@@ -159,6 +171,11 @@ class SemiSynchronousScheduler final : public Scheduler {
   }
   [[nodiscard]] bool activates(Round r, std::uint32_t slot,
                                RobotId id) const override;
+  /// Same bits as the activates() loop, with the slot's phase drawn once
+  /// and a running residue in place of a per-round `g % fairness`.
+  [[nodiscard]] Round count_activations(Round from, Round to,
+                                        std::uint32_t slot,
+                                        RobotId id) const override;
   [[nodiscard]] Round fairness_bound() const override { return fairness_; }
   [[nodiscard]] Round extend_cap(Round cap) const override;
   [[nodiscard]] bool adversarial() const override { return fairness_ > 1; }

@@ -169,26 +169,48 @@ TEST(CAbiTest, SweepCsvMatchesSweepRunnerBytes) {
 }
 
 TEST(CAbiTest, SweepCsvMatchesGoldenPolicyBytes) {
-  // The byte referee for the sweep harness policy, generated once and
-  // committed; CI cmps `gather_cli --sweep` on the same grid against it.
-  // The grid hits all three arms: 32 points, 24 after the k in [2, n]
-  // filter, 22 rows after one infeasible skip per seed (hypercube n=10
-  // realizes 8 < k=9), and 9 rows recorded with violation=1.
-  std::ifstream in(std::string(GATHER_TEST_DATA_DIR) +
-                   "/golden_sweep_policy.csv");
-  ASSERT_TRUE(in.good());
-  std::ostringstream golden;
-  golden << in.rdbuf();
-  const std::string grid =
-      "families=ring,hypercube\n"
-      "sizes=8,10\n"
-      "k_rules=3,9\n"
-      "placements=undispersed,adversarial\n"
-      "scheduler=adversarial-delay\n"
-      "scheduler_params=max-delay=6\n"
-      "seeds=1,2\n";
-  EXPECT_EQ(abi_sweep_csv(grid + "threads=1\n"), golden.str());
-  EXPECT_EQ(abi_sweep_csv(grid + "threads=4\n"), golden.str());
+  // Byte referees, generated once and committed; CI cmps `gather_cli
+  // --sweep` on the same grids against them.
+  //  * golden_sweep_policy.csv — the sweep harness policy. The grid hits
+  //    all three arms: 32 points, 24 after the k in [2, n] filter, 22
+  //    rows after one infeasible skip per seed (hypercube n=10 realizes
+  //    8 < k=9), and 9 rows recorded with violation=1.
+  //  * golden_ssync_grid.csv — the semi-synchronous activation clock:
+  //    all 16 acceptance-grid families at fairness 3, 32 rows (2 with
+  //    violation=1), runs of up to 506027 rounds of local-clock catch-up.
+  struct Golden {
+    const char* file;
+    const char* grid;
+  };
+  const Golden goldens[] = {
+      {"golden_sweep_policy.csv",
+       "families=ring,hypercube\n"
+       "sizes=8,10\n"
+       "k_rules=3,9\n"
+       "placements=undispersed,adversarial\n"
+       "scheduler=adversarial-delay\n"
+       "scheduler_params=max-delay=6\n"
+       "seeds=1,2\n"},
+      {"golden_ssync_grid.csv",
+       "families=ring,path,complete,star,grid,torus,hypercube,binary-tree,"
+       "lollipop,barbell,caterpillar,wheel,bipartite,tree,random,regular\n"
+       "sizes=6\n"
+       "k=2\n"
+       "scheduler=semi-synchronous\n"
+       "scheduler_params=fairness=3\n"
+       "seeds=1,2\n"},
+  };
+  for (const Golden& golden_case : goldens) {
+    SCOPED_TRACE(golden_case.file);
+    std::ifstream in(std::string(GATHER_TEST_DATA_DIR) + "/" +
+                     golden_case.file);
+    ASSERT_TRUE(in.good());
+    std::ostringstream golden;
+    golden << in.rdbuf();
+    const std::string grid = golden_case.grid;
+    EXPECT_EQ(abi_sweep_csv(grid + "threads=1\n"), golden.str());
+    EXPECT_EQ(abi_sweep_csv(grid + "threads=4\n"), golden.str());
+  }
 }
 
 TEST(CAbiTest, RepeatedRunsHitTheServiceResultCache) {

@@ -574,6 +574,40 @@ TEST(SemiSynchronous, CapLimitedRunCannotFalselyReportNonTermination) {
   }
 }
 
+TEST(SemiSynchronous, CountActivationsMatchesPerRoundPredicate) {
+  // The engine advances local clocks with one count_activations() call
+  // per catch-up; the batched override must equal the base-class loop
+  // over activates() (called non-virtually below) on every range —
+  // empty, single rounds, ranges across residue wraps, and starts far
+  // beyond any round a run reaches.
+  constexpr sim::Round kFar = sim::Round{1} << 40;
+  for (const sim::Round fairness : {1u, 2u, 3u, 4u, 7u, 64u, 65u}) {
+    for (const std::uint64_t seed : {1ull, 17ull, 0x9e3779b97f4a7c15ull}) {
+      const sim::SemiSynchronousScheduler sched(seed, fairness);
+      for (const std::uint32_t slot : {0u, 1u, 5u, 1000u}) {
+        const sim::RobotId id = slot + 7;
+        for (const sim::Round start :
+             {sim::Round{0}, sim::Round{1}, fairness - 1, fairness,
+              3 * fairness + 1, kFar, kFar + fairness - 1,
+              (sim::Round{1} << 62) + 5}) {
+          for (const sim::Round len :
+               {sim::Round{0}, sim::Round{1}, sim::Round{2}, fairness,
+                fairness + 1, 3 * fairness + 2, sim::Round{200}}) {
+            const sim::Round end = start + len;
+            EXPECT_EQ(sched.count_activations(start, end, slot, id),
+                      sched.sim::Scheduler::count_activations(start, end,
+                                                              slot, id))
+                << "fairness " << fairness << " seed " << seed << " slot "
+                << slot << " range [" << start << ", " << end << ")";
+          }
+        }
+        // A reversed range counts nothing, like an empty one.
+        EXPECT_EQ(sched.count_activations(kFar + 1, kFar, slot, id), 0u);
+      }
+    }
+  }
+}
+
 // ---- crash-fault: freezing and detection soundness -----------------------
 
 TEST(CrashFault, CrashedRobotFreezesAndNeverTerminates) {
