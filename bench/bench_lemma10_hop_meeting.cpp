@@ -66,8 +66,7 @@ void run() {
     const core::Schedule& sched = schedules[i];
     const std::size_t stage_idx =
         std::min<std::size_t>(job.dist, sched.stages().size() - 1);
-    const sim::Round bound = sched.stages()[stage_idx].start +
-                             sched.stages()[stage_idx].duration;
+    const sim::Round bound = sched.stages()[stage_idx].end();
     const sim::Round hop_budget = sched.hop_len(job.dist);
     table.add_row(
         {TextTable::num(job.n), TextTable::num(std::uint64_t{job.dist}),

@@ -92,8 +92,7 @@ void run() {
     const std::size_t stage_idx = std::min<std::size_t>(
         job.distance < 0 ? 0 : static_cast<std::size_t>(job.distance),
         sched.stages().size() - 1);
-    const sim::Round bound = sched.stages()[stage_idx].start +
-                             sched.stages()[stage_idx].duration;
+    const sim::Round bound = sched.stages()[stage_idx].end();
     table.add_row({job.family->name, TextTable::num(std::uint64_t(job.distance)),
                    bound_name(job.distance),
                    "hop-" + std::to_string(m.outcome.gathered_stage_hop),

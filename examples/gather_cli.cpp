@@ -198,7 +198,6 @@ constexpr SpecFlag kSpecFlags[] = {
     {"seed", "seed", false},
     {"hard-cap", "hard_cap", false},
     {"decide-threads", "decide_threads", false},
-    {"timeline", "record_trace", false},
     {"record", "trace_path", false},
     {"families", "families", true},
     {"sizes", "sizes", true},
@@ -345,6 +344,10 @@ int run_sweep(const support::CliParser& cli, Service& service) {
 int run_single(const support::CliParser& cli, Service& service) {
   const scenario::ScenarioSpec spec =
       api::parse_run_spec(spec_text(cli, false));
+  if (cli.get_flag("timeline") && spec.trace_path.empty()) {
+    throw support::CliError("--timeline needs --record=PATH (the table is "
+                            "built from the recorded trace)");
+  }
   const scenario::ResolvedScenario resolved = service.resolve(spec);
 
   std::cout << "instance: n=" << resolved.realized_n;
@@ -397,7 +400,9 @@ int run_single(const support::CliParser& cli, Service& service) {
 
   if (cli.get_flag("timeline") && out.schedule.has_value()) {
     std::cout << "\nper-stage activity:\n";
-    core::Timeline::from_trace(out.trace, *out.schedule).print(std::cout);
+    const sim::Trace trace =
+        sim::decode_trace(sim::read_trace_file(spec.trace_path));
+    core::Timeline::from_trace(trace, *out.schedule).print(std::cout);
   }
   if (cli.provided("dot")) {
     if (const graph::Graph* csr = resolved.graph->as_csr()) {
@@ -463,7 +468,9 @@ int main(int argc, char** argv) {
   cli.add_flag("diff", "compare two trace files (positional args)");
   cli.add_option("trace-dir", "",
                  "sweep mode: record every row's trace into this directory");
-  cli.add_flag("timeline", "print per-stage movement analysis");
+  cli.add_flag("timeline",
+               "print per-stage movement analysis, built from the trace "
+               "--record writes (requires --record)");
   cli.add_option("dot", "", "write instance+result as Graphviz DOT");
   cli.add_option("save-graph", "", "write the graph as an edge list");
   cli.add_flag("list", "list every registry entry and exit");

@@ -121,8 +121,6 @@ bool apply_run_key(scenario::ScenarioSpec& spec, const Line& line) {
     spec.delta_aware = parse_bool_value(line);
   } else if (line.key == "known_min_pair_distance") {
     spec.known_min_pair_distance = parse_int_value(line);
-  } else if (line.key == "record_trace") {
-    spec.record_trace = parse_bool_value(line);
   } else if (line.key == "hard_cap") {
     spec.hard_cap = parse_uint_value(line);
   } else if (line.key == "decide_threads") {

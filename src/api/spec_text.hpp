@@ -31,8 +31,9 @@ namespace gather::api {
 /// Parse a single-run spec. Every ScenarioSpec field is addressable:
 /// family, family_params, placement, placement_params, labeling,
 /// algorithm, sequence, scheduler, scheduler_params, n, k,
-/// id_exponent_b, seed, delta_aware, known_min_pair_distance,
-/// record_trace, hard_cap, decide_threads, trace_path.
+/// id_exponent_b, seed, delta_aware, known_min_pair_distance, hard_cap,
+/// decide_threads, trace_path. Moves are recorded through trace_path
+/// (the binary trace) only.
 [[nodiscard]] scenario::ScenarioSpec parse_run_spec(const std::string& text);
 
 /// Parse a sweep spec: all run-spec keys (the base point) plus the axis

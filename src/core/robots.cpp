@@ -1,6 +1,7 @@
 #include "core/robots.hpp"
 
 #include "support/assert.hpp"
+#include "support/math.hpp"
 
 namespace gather::core {
 
@@ -44,19 +45,19 @@ Action FasterGatheringRobot::on_round(const RoundView& view) {
   const auto& stages = sched_.stages();
 
   while (stage_idx_ + 1 < stages.size() &&
-         r >= stages[stage_idx_].start + stages[stage_idx_].duration) {
+         r >= stages[stage_idx_].end()) {
     note_map_memory();
     hop_.reset();
     ug_.reset();
     ++stage_idx_;
   }
   const Stage& stage = stages[stage_idx_];
-  GATHER_PROTOCOL(r >= stage.start && r < stage.start + stage.duration);
+  GATHER_PROTOCOL(r >= stage.start && r < stage.end());
 
   switch (stage.kind) {
     case StageKind::Undispersed: {
-      const Round detect_round = stage.start + stage.duration - 1;
-      if (r == detect_round) return detection(view, stage.start + stage.duration);
+      const Round detect_round = stage.end() - 1;
+      if (r == detect_round) return detection(view, stage.end());
       if (!ug_.has_value()) {
         ug_.emplace(id(), config_.n, stage.start, config_.fairness);
       }
@@ -65,9 +66,9 @@ Action FasterGatheringRobot::on_round(const RoundView& view) {
 
     case StageKind::HopThenUndispersed: {
       const Round hop_len = sched_.hop_len(stage.hop);
-      const Round ug_start = stage.start + hop_len;
-      const Round detect_round = stage.start + stage.duration - 1;
-      if (r == detect_round) return detection(view, stage.start + stage.duration);
+      const Round ug_start = support::sat_add(stage.start, hop_len);
+      const Round detect_round = stage.end() - 1;
+      if (r == detect_round) return detection(view, stage.end());
       if (r < ug_start) {
         if (!hop_.has_value()) {
           hop_.emplace(id(), stage.hop, stage.start, sched_.cycle_len(stage.hop),

@@ -37,14 +37,14 @@ struct RunSpec {
   AlgorithmKind algorithm = AlgorithmKind::FasterGathering;
   AlgorithmConfig config;
   bool naive_engine = false;
-  bool record_trace = false;
   /// 0 = derive from the schedule.
   sim::Round hard_cap = 0;
   /// Opt-in binary trace sink (sim/trace.hpp), non-owning; must outlive
   /// the call. run_gathering feeds it the whole run; if the run is
   /// aborted by a ProtocolViolation, the violation is recorded as the
   /// trace's terminal record before the exception is rethrown, so the
-  /// trace stays decodable/replayable either way.
+  /// trace stays decodable/replayable either way. The decoded trace is
+  /// also what core::Timeline buckets by stage.
   sim::TraceRecorder* trace_recorder = nullptr;
   /// Scheduling adversary (sim/scheduler.hpp); null = synchronous. A
   /// derived hard cap is stretched by the scheduler's extend_cap() so
@@ -74,9 +74,6 @@ struct RunOutcome {
   int gathered_stage = -1;
   /// The hop parameter of that stage (0 for plain UG, 6 for the UXS stage).
   int gathered_stage_hop = -1;
-  /// Recorded move events (only when spec.record_trace; may be truncated
-  /// at the engine's trace_limit). Feed to core::Timeline for analysis.
-  std::vector<sim::TraceEvent> trace;
   /// The schedule the robots ran (FasterGathering / UxsOnly only).
   std::optional<Schedule> schedule;
 };

@@ -33,6 +33,7 @@
 
 #include "core/config.hpp"
 #include "sim/types.hpp"
+#include "support/math.hpp"
 
 namespace gather::core {
 
@@ -48,7 +49,14 @@ struct Stage {
   StageKind kind = StageKind::Undispersed;
   unsigned hop = 0;  ///< i for HopThenUndispersed
   Round start = 0;
-  Round duration = 0;  ///< exclusive; next stage starts at start + duration
+  Round duration = 0;  ///< exclusive; next stage starts at end()
+
+  /// One past the stage's last round, saturating like the stage starts:
+  /// at large n a deep stage's duration saturates, and a raw sum would
+  /// wrap below its own start.
+  [[nodiscard]] constexpr Round end() const noexcept {
+    return support::sat_add(start, duration);
+  }
 };
 
 class Schedule {

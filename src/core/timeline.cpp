@@ -7,54 +7,54 @@
 
 namespace gather::core {
 
-Timeline Timeline::from_trace(const std::vector<sim::TraceEvent>& trace,
+Timeline Timeline::from_trace(const sim::Trace& trace,
                               const Schedule& schedule) {
   Timeline timeline;
   for (std::size_t i = 0; i < schedule.stages().size(); ++i) {
-    const Stage& stage = schedule.stages()[i];
     StageActivity activity;
     activity.stage_index = i;
-    activity.kind = stage.kind;
-    activity.hop = stage.hop;
-    activity.start = stage.start;
-    activity.duration = stage.duration;
+    activity.stage = schedule.stages()[i];
     timeline.stages_.push_back(std::move(activity));
   }
   if (timeline.stages_.empty()) return timeline;
 
-  // Dense label space: rank-compress the labels that appear in the trace
-  // so per-stage counters are flat arrays of length #movers, independent
-  // of how sparse the label range [1, n^b] is.
-  timeline.labels_.reserve(trace.size());
-  for (const sim::TraceEvent& event : trace)
-    timeline.labels_.push_back(event.robot);
+  // Dense label space: rank-compress the robots' labels so per-stage
+  // counters are flat arrays of length #robots, independent of how
+  // sparse the label range [1, n^b] is. Moves name slots; rank_of_slot
+  // maps them to the dense index once.
+  timeline.labels_.reserve(trace.robots.size());
+  for (const sim::TraceRobot& robot : trace.robots)
+    timeline.labels_.push_back(robot.id);
   std::sort(timeline.labels_.begin(), timeline.labels_.end());
-  timeline.labels_.erase(
-      std::unique(timeline.labels_.begin(), timeline.labels_.end()),
-      timeline.labels_.end());
+  std::vector<std::size_t> rank_of_slot(trace.robots.size());
+  for (std::size_t slot = 0; slot < trace.robots.size(); ++slot) {
+    rank_of_slot[slot] = static_cast<std::size_t>(
+        std::lower_bound(timeline.labels_.begin(), timeline.labels_.end(),
+                         trace.robots[slot].id) -
+        timeline.labels_.begin());
+  }
   for (StageActivity& stage : timeline.stages_)
     stage.moves_by_robot.assign(timeline.labels_.size(), 0);
 
-  for (const sim::TraceEvent& event : trace) {
-    // Stages are contiguous from round 0; find the owning stage.
-    std::size_t idx = timeline.stages_.size() - 1;
-    for (std::size_t i = 0; i < timeline.stages_.size(); ++i) {
-      const StageActivity& s = timeline.stages_[i];
-      if (event.round >= s.start && event.round < s.start + s.duration) {
-        idx = i;
-        break;
-      }
+  // Rounds ascend and stages are contiguous from round 0, so the owning
+  // stage only ever advances.
+  std::size_t idx = 0;
+  for (const sim::TraceRound& round : trace.rounds) {
+    if (round.moves.empty() && round.carried.empty()) continue;
+    while (idx + 1 < timeline.stages_.size() &&
+           round.round >= timeline.stages_[idx].stage.end()) {
+      ++idx;
     }
     StageActivity& s = timeline.stages_[idx];
-    ++s.moves;
-    const auto rank = static_cast<std::size_t>(
-        std::lower_bound(timeline.labels_.begin(), timeline.labels_.end(),
-                         event.robot) -
-        timeline.labels_.begin());
-    ++s.moves_by_robot[rank];
-    if (s.first_move == sim::kNoRound) s.first_move = event.round;
-    s.last_move = std::max(s.last_move == sim::kNoRound ? 0 : s.last_move,
-                           event.round);
+    const auto count = [&](const std::vector<sim::TraceMove>& moves) {
+      for (const sim::TraceMove& move : moves)
+        ++s.moves_by_robot[rank_of_slot[move.slot]];
+      s.moves += moves.size();
+    };
+    count(round.moves);
+    count(round.carried);
+    if (s.first_move == sim::kNoRound) s.first_move = round.round;
+    s.last_move = round.round;
   }
   return timeline;
 }
@@ -91,19 +91,19 @@ void Timeline::print(std::ostream& os) const {
                    "active robots", "first/last move"});
   for (const StageActivity& s : stages_) {
     std::string kind;
-    switch (s.kind) {
+    switch (s.stage.kind) {
       case StageKind::Undispersed: kind = "undispersed"; break;
       case StageKind::HopThenUndispersed:
         // std::string first operand sidesteps GCC 12's bogus -Wrestrict on
         // operator+(const char*, std::string&&) (GCC PR105651).
-        kind = std::string("hop-") + std::to_string(s.hop) + "+undisp";
+        kind = std::string("hop-") + std::to_string(s.stage.hop) + "+undisp";
         break;
       case StageKind::UxsGathering: kind = "uxs-catchall"; break;
     }
     table.add_row(
         {TextTable::num(std::uint64_t{s.stage_index}), kind,
-         std::string("[") + TextTable::grouped(s.start) + ", " +
-             TextTable::grouped(s.start + s.duration) + ")",
+         std::string("[") + TextTable::grouped(s.stage.start) + ", " +
+             TextTable::grouped(s.stage.end()) + ")",
          TextTable::grouped(s.moves),
          TextTable::num(std::uint64_t{s.active_robots()}),
          s.moves == 0 ? "-"

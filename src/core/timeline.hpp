@@ -1,26 +1,25 @@
-// Post-run analysis: bucket a recorded engine trace by the schedule's
-// stages to show where a run spent its movement — which step did the
-// work, who moved, and when gathering actually happened. Stage
+// Post-run analysis: bucket a decoded binary trace (sim/trace.hpp) by
+// the schedule's stages to show where a run spent its movement — which
+// step did the work, who moved, and when gathering actually happened.
+// Every move the run made is counted, carried (standing-follow) moves
+// included, so the stage totals sum to metrics.total_moves. Stage
 // attribution is the quantity Theorems 12 and 16 reason about (which
 // ladder step resolves a given initial configuration). Powers
-// gather_cli --timeline and the debugging workflow ("why did this run
-// resolve in stage 3?").
+// gather_cli --record=PATH --timeline and the debugging workflow ("why
+// did this run resolve in stage 3?").
 #pragma once
 
 #include <iosfwd>
 #include <vector>
 
 #include "core/schedule.hpp"
-#include "sim/engine.hpp"
+#include "sim/trace.hpp"
 
 namespace gather::core {
 
 struct StageActivity {
   std::size_t stage_index = 0;
-  StageKind kind = StageKind::Undispersed;
-  unsigned hop = 0;
-  Round start = 0;
-  Round duration = 0;
+  Stage stage;
   std::uint64_t moves = 0;
   /// Moves per robot within this stage — a dense vector indexed by the
   /// robot's rank in Timeline::robot_labels() (raw labels are sparse in
@@ -37,17 +36,18 @@ struct StageActivity {
 
 class Timeline {
  public:
-  /// Bucket `trace` (recorded with EngineConfig::record_trace) into the
-  /// schedule's stages. Events beyond the last stage are attributed to it.
-  [[nodiscard]] static Timeline from_trace(
-      const std::vector<sim::TraceEvent>& trace, const Schedule& schedule);
+  /// Bucket every move and carried move of `trace` into the schedule's
+  /// stages by global round. Moves beyond the last stage are attributed
+  /// to it.
+  [[nodiscard]] static Timeline from_trace(const sim::Trace& trace,
+                                           const Schedule& schedule);
 
   [[nodiscard]] const std::vector<StageActivity>& stages() const noexcept {
     return stages_;
   }
 
-  /// Sorted distinct labels of the robots that moved anywhere in the
-  /// trace; every stage's moves_by_robot is indexed by position here.
+  /// Sorted labels of the trace's robots; every stage's moves_by_robot
+  /// is indexed by position here.
   [[nodiscard]] const std::vector<sim::RobotId>& robot_labels() const noexcept {
     return labels_;
   }
@@ -56,8 +56,7 @@ class Timeline {
   [[nodiscard]] std::uint64_t moves_for(const StageActivity& stage,
                                         sim::RobotId label) const;
 
-  /// Total moves across all stages (== metrics.total_moves when the trace
-  /// was not truncated by trace_limit).
+  /// Total moves across all stages (== metrics.total_moves).
   [[nodiscard]] std::uint64_t total_moves() const noexcept;
 
   /// The first stage with any movement (-1 if the trace is empty).

@@ -48,8 +48,6 @@ struct ScenarioSpec {
   bool delta_aware = false;          ///< Remark 14: robots know Δ
   int known_min_pair_distance = -1;  ///< Remark 13 hint (-1 = off)
 
-  bool record_trace = false;
-
   /// Hard round cap override (0 = derive from the schedule). Bounded
   /// probes on huge implicit instances set this; it changes what the run
   /// does, so it IS part of the fingerprint.

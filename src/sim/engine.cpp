@@ -12,27 +12,9 @@ namespace gather::sim {
 
 // 32-bit index audit (see also graph/graph.cpp): slots and nodes are
 // uint32 with all-ones sentinels, and the trace hash packs a move's
-// (from, to) pair into one 64-bit word as (from << 32) | to.
-static_assert(sizeof(NodeId) == 4,
-              "the move hash packs (from << 32) | to into a uint64");
+// (from, to) pair into one 64-bit word (sim/metrics.hpp hash_move).
 static_assert(kNoRound == static_cast<Round>(-1),
               "wake arithmetic saturates against the all-ones Round sentinel");
-
-namespace {
-
-/// Accumulate a 64-bit word into the trace hash: xor-multiply-shift per
-/// word (FNV-1a's prime with a murmur-style fold). One multiply per word
-/// instead of FNV's eight byte steps — the hash runs three times per
-/// move, so it is on the round loop's critical path. Only equality of
-/// fingerprints matters (skip vs naive, rerun determinism); the exact
-/// constant is not part of any contract.
-void hash_word(std::uint64_t& h, std::uint64_t w) {
-  h ^= w;
-  h *= 1099511628211ULL;
-  h ^= h >> 47;
-}
-
-}  // namespace
 
 Engine::Engine(const graph::Topology& graph, EngineConfig config)
     : graph_(graph),
@@ -188,28 +170,26 @@ void Engine::collect_carried(Round r) {
   }
 }
 
+void Engine::move_slot(std::uint32_t s, graph::HalfEdge h, Round r,
+                       std::uint64_t& trace_hash) {
+  const NodeId from = pos_[s];
+  occupants_erase(from, s);
+  occupants_insert(h.to, s);
+  pos_[s] = h.to;
+  entry_port_[s] = h.to_port;
+  ++move_count_[s];
+  touched_nodes_.push_back(from);
+  touched_nodes_.push_back(h.to);
+  hash_move(trace_hash, r, ids_[s], from, h.to);
+}
+
 std::size_t Engine::apply_carried(Round r, RunResult& result) {
   // Same bookkeeping as an active move; hashed after the active set, in
   // slot order, so skip and naive stepping fingerprint identically. The
   // forced move voids any sleep promise — the robot re-decides next round.
-  auto& m = result.metrics;
   for (const std::uint32_t s : carried_) {
-    const NodeId from = pos_[s];
-    const graph::HalfEdge h = carry_edge_[s];
-    occupants_erase(from, s);
-    occupants_insert(h.to, s);
-    pos_[s] = h.to;
-    entry_port_[s] = h.to_port;
-    ++move_count_[s];
-    touched_nodes_.push_back(from);
-    touched_nodes_.push_back(h.to);
-    hash_word(m.trace_hash, r);
-    hash_word(m.trace_hash, ids_[s]);
-    hash_word(m.trace_hash, (static_cast<std::uint64_t>(from) << 32) | h.to);
-    if (config_.record_trace && trace_.size() < config_.trace_limit) {
-      trace_.push_back(TraceEvent{r, ids_[s], from, h.to});
-    }
-    if (rec_ != nullptr) rec_->record_carried(s, h.to);
+    move_slot(s, carry_edge_[s], r, result.metrics.trace_hash);
+    if (rec_ != nullptr) rec_->record_carried(s, carry_edge_[s].to);
     sleep_target_[s] = kNoRound;
     if (!config_.naive_stepping) {
       heap_push(r + 1, s);
@@ -547,11 +527,11 @@ Action Engine::resolve_action(std::uint32_t s, Round r) {
   return out;
 }
 
-// One decision loop per clock mode. kClockSync: local == global (the
-// paper's model — the instruction stream the pinned trace hashes hold
-// to). kClockDelayed: local = r − τ, a bijection, so Stay deadlines
-// translate back exactly. kClockLocal (any suppressing scheduler, delays
-// included): local is the maintained activation-count clock, Stay
+// One decision loop per clock mode. kClockDelayed (every non-suppressing
+// scheduler): local = r − τ, a bijection, so Stay deadlines translate
+// back exactly; the paper's synchronous model is τ = 0, where both
+// translations are identities. kClockLocal (any suppressing scheduler,
+// delays included): local is the maintained activation-count clock, Stay
 // deadlines translate to *conservative* global wakes (local advances at
 // most one per round) that the collection loop re-checks, and the
 // decision is recorded as the slot's standing order for the carry pass.
@@ -560,10 +540,8 @@ std::uint64_t Engine::decide_one(std::uint32_t s, Round r) {
   RoundView view;
   if constexpr (Mode == kClockDelayed) {
     view.round = r - release_[s];
-  } else if constexpr (Mode == kClockLocal) {
-    view.round = local_[s];
   } else {
-    view.round = r;
+    view.round = local_[s];
   }
   view.degree = degree_at(pos_[s]);
   view.entry_port = entry_port_[s];
@@ -583,7 +561,7 @@ std::uint64_t Engine::decide_one(std::uint32_t s, Round r) {
       decisions_[s].stay_until =
           support::sat_add(decisions_[s].stay_until, release_[s]);
     }
-  } else if constexpr (Mode == kClockLocal) {
+  } else {
     standing_follow_[s] = decisions_[s].kind == ActionKind::Follow
                               ? decisions_[s].leader
                               : 0;
@@ -625,7 +603,6 @@ void Engine::decide_all(Round r, RunMetrics& m) {
 
 std::size_t Engine::simulate_round(Round r, RunResult& result) {
   auto& m = result.metrics;
-  const bool any_delay = any_delay_;
   const bool suppressing = suppressing_;
 
   // ---- build communication views (per node hosting an active robot) ----
@@ -637,15 +614,13 @@ std::size_t Engine::simulate_round(Round r, RunResult& result) {
   for (const std::uint32_t s : active_) (void)view_for(pos_[s], r);
 
   // ---- decisions --------------------------------------------------------
-  // Stamped out three times (template, one out-of-line instantiation per
-  // clock mode) so the synchronous path runs the exact pre-scheduler
-  // loop without the other modes' code inflating the hot function.
+  // Stamped out twice (template, one out-of-line instantiation per clock
+  // mode) so the non-suppressing path never runs the local-clock and
+  // standing-order bookkeeping.
   if (suppressing) {
     decide_all<kClockLocal>(r, m);
-  } else if (any_delay) {
-    decide_all<kClockDelayed>(r, m);
   } else {
-    decide_all<kClockSync>(r, m);
+    decide_all<kClockDelayed>(r, m);
   }
 
   // ---- resolve follow chains ---------------------------------------------
@@ -681,22 +656,9 @@ std::size_t Engine::simulate_round(Round r, RunResult& result) {
         // A robot handing back an out-of-range port broke its own
         // contract — robot-side, so protocol-class (recordable).
         GATHER_PROTOCOL(action.port < degree_at(pos_[s]));
-        const NodeId from = pos_[s];
-        const graph::HalfEdge h = traverse_at(from, action.port);
-        occupants_erase(from, s);
-        occupants_insert(h.to, s);
-        pos_[s] = h.to;
-        entry_port_[s] = h.to_port;
-        ++move_count_[s];
+        const graph::HalfEdge h = traverse_at(pos_[s], action.port);
+        move_slot(s, h, r, m.trace_hash);
         ++movers;
-        touched_nodes_.push_back(from);
-        touched_nodes_.push_back(h.to);
-        hash_word(m.trace_hash, r);
-        hash_word(m.trace_hash, ids_[s]);
-        hash_word(m.trace_hash, (static_cast<std::uint64_t>(from) << 32) | h.to);
-        if (config_.record_trace && trace_.size() < config_.trace_limit) {
-          trace_.push_back(TraceEvent{r, ids_[s], from, h.to});
-        }
         if (rec_ != nullptr) rec_->record_move(s, h.to);
         if (!config_.naive_stepping) {
           heap_push(r + 1, s);
@@ -745,8 +707,7 @@ std::size_t Engine::simulate_round(Round r, RunResult& result) {
         if (m.first_termination == kNoRound) m.first_termination = r;
         m.last_termination = r;
         terminated_this_round = true;
-        hash_word(m.trace_hash, ~r);
-        hash_word(m.trace_hash, ids_[s]);
+        hash_termination(m.trace_hash, r, ids_[s]);
         if (rec_ != nullptr) rec_->record_terminate(s);
         break;
       }

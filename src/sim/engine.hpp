@@ -49,9 +49,10 @@
 //
 //  * Scheduler hooks off the hot path. Adversary features are gated by
 //    booleans cached at add_robot time (any delay? any crash? does this
-//    scheduler suppress?), so a synchronous run executes the same
-//    instructions as before the scheduler layer existed — bit-identical
-//    traces, no measurable throughput cost (BENCH_engine.json).
+//    scheduler suppress?), so a synchronous run skips every adversary
+//    branch; its only clock work is the release-offset translation,
+//    an identity at release 0 — bit-identical traces, no measurable
+//    throughput cost (BENCH_engine.json).
 //
 // Memory layout (see DESIGN.md "Memory layout"): per-robot state lives in
 // flat structure-of-arrays buffers indexed by *slot* (the dense index
@@ -60,11 +61,11 @@
 // Node occupancy is an intrusive singly-linked list (per-node head + a
 // per-slot next link, kept sorted by label) updated in place on moves,
 // and the per-round communication views live in one contiguous arena
-// stamped by round. After run() sizes the scratch buffers, the view,
-// occupancy, decision, and active-set machinery never allocates in the
-// round loop; the one amortized exception is the wake heap, which grows
-// past its reserve only when stale entries pile up faster than they are
-// popped.
+// stamped by round. After run() sizes the scratch buffers the round loop
+// never allocates; the one amortized exception is the wake heap, which
+// grows past its reserve only when stale entries pile up faster than
+// they are popped. Moves are recorded only through the opt-in
+// TraceRecorder (sim/trace.hpp), never by the engine itself.
 //
 // Layer contract (umbrella for src/sim/): the execution model and the
 // robot/oracle boundary. The engine holds the whole-graph view; robots
@@ -99,9 +100,6 @@ struct EngineConfig {
   /// End the run as soon as all robots are co-located (without requiring
   /// termination) — used by baselines that have no detection of their own.
   bool stop_when_gathered = false;
-  /// Record individual move events (bounded by trace_limit).
-  bool record_trace = false;
-  std::size_t trace_limit = 1u << 20;
   /// Opt-in binary trace sink (sim/trace.hpp), non-owning; must outlive
   /// run(). Null (the default) costs the hot path one predicted-false
   /// branch per round and per move/termination — nothing else (pinned
@@ -128,13 +126,6 @@ struct EngineConfig {
   std::size_t dense_node_limit = NodeTable::kDefaultDenseLimit;
 };
 
-struct TraceEvent {
-  Round round = 0;
-  RobotId robot = 0;
-  NodeId from = 0;
-  NodeId to = 0;
-};
-
 class Engine {
  public:
   /// Accepts any Topology; the concrete representation is resolved once
@@ -152,10 +143,6 @@ class Engine {
 
   /// Adversary-view position of a robot (tests/oracles only).
   [[nodiscard]] NodeId position_of(RobotId id) const;
-
-  [[nodiscard]] const std::vector<TraceEvent>& trace() const noexcept {
-    return trace_;
-  }
 
  private:
   /// Slot sentinel ("null" link / failed lookup).
@@ -225,7 +212,6 @@ class Engine {
 
   /// Lazy min-heap of (wake_round, slot); entries may be stale.
   std::vector<std::pair<Round, std::uint32_t>> heap_;
-  std::vector<TraceEvent> trace_;
   bool ran_ = false;
 
   // ---- per-round scratch, sized once in run() ---------------------------
@@ -270,9 +256,8 @@ class Engine {
   Action resolve_action(std::uint32_t slot, Round r);
 
   /// Robot-clock modes of the decision loop (see engine.cpp).
-  static constexpr int kClockSync = 0;
-  static constexpr int kClockDelayed = 1;
-  static constexpr int kClockLocal = 2;
+  static constexpr int kClockDelayed = 0;
+  static constexpr int kClockLocal = 1;
   template <int Mode>
   void decide_all(Round r, RunMetrics& m);
   /// One robot's decide step; returns the message bits it received (the
@@ -291,6 +276,10 @@ class Engine {
   /// against pre-move positions / apply their moves after the active set.
   void collect_carried(Round r);
   std::size_t apply_carried(Round r, RunResult& result);
+  /// The bookkeeping an active and a carried move share: occupancy,
+  /// position, entry port, move count, touched nodes, and the hash.
+  void move_slot(std::uint32_t slot, graph::HalfEdge h, Round r,
+                 std::uint64_t& trace_hash);
 
   void heap_push(Round round, std::uint32_t slot);
   [[nodiscard]] bool heap_pop_next(Round& round);

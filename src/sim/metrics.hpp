@@ -34,6 +34,35 @@ struct RunMetrics {
   std::uint64_t trace_hash = 1469598103934665603ULL;
 };
 
+// The trace-hash fold, shared by the engine (which accumulates it) and
+// the trace replayer (which must land on the same value bit for bit).
+// xor-multiply-shift per word: one multiply instead of FNV-1a's eight
+// byte steps, since it runs three times per move on the round loop's
+// critical path. Only equality of fingerprints is meaningful.
+namespace detail {
+inline void hash_word(std::uint64_t& h, std::uint64_t w) noexcept {
+  h ^= w;
+  h *= 1099511628211ULL;
+  h ^= h >> 47;
+}
+}  // namespace detail
+
+static_assert(sizeof(NodeId) == 4, "hash_move packs (from << 32) | to");
+
+/// Fold one move into a trace hash: round, label, (from << 32) | to.
+inline void hash_move(std::uint64_t& h, Round r, RobotId id, NodeId from,
+                      NodeId to) noexcept {
+  detail::hash_word(h, r);
+  detail::hash_word(h, id);
+  detail::hash_word(h, (static_cast<std::uint64_t>(from) << 32) | to);
+}
+
+/// Fold one termination into a trace hash: ~round, label.
+inline void hash_termination(std::uint64_t& h, Round r, RobotId id) noexcept {
+  detail::hash_word(h, ~r);
+  detail::hash_word(h, id);
+}
+
 struct RunResult {
   bool all_terminated = false;
   bool hit_round_cap = false;

@@ -8,15 +8,6 @@ namespace gather::sim {
 
 namespace {
 
-// Mirrors the accumulation in sim/engine.cpp (hash_word there): the
-// replayer must fold the same words in the same order to land on the
-// same fingerprint. Only equality is meaningful.
-void hash_word(std::uint64_t& h, std::uint64_t w) {
-  h ^= w;
-  h *= 1099511628211ULL;
-  h ^= h >> 47;
-}
-
 std::uint64_t fnv1a(const std::uint8_t* data, std::size_t size) {
   std::uint64_t h = 14695981039346656037ULL;
   for (std::size_t i = 0; i < size; ++i) {
@@ -540,9 +531,7 @@ ReplayResult replay_trace(const Trace& t) {
                        " by terminated robot at round " + std::to_string(r));
     }
     const NodeId from = pos[mv.slot];
-    hash_word(m.trace_hash, r);
-    hash_word(m.trace_hash, t.robots[mv.slot].id);
-    hash_word(m.trace_hash, (static_cast<std::uint64_t>(from) << 32) | mv.to);
+    hash_move(m.trace_hash, r, t.robots[mv.slot].id, from, mv.to);
     pos[mv.slot] = mv.to;
     ++move_count[mv.slot];
   };
@@ -574,8 +563,7 @@ ReplayResult replay_trace(const Trace& t) {
               "inconsistent trace: robot terminates twice at round " +
               std::to_string(rr.round));
         }
-        hash_word(m.trace_hash, ~rr.round);
-        hash_word(m.trace_hash, t.robots[s].id);
+        hash_termination(m.trace_hash, rr.round, t.robots[s].id);
         terminated[s] = 1;
         if (m.first_termination == kNoRound) m.first_termination = rr.round;
         m.last_termination = rr.round;

@@ -278,6 +278,13 @@ TEST(CAbiTest, BadSpecTextIsUsage) {
             GATHER_STATUS_USAGE);
   EXPECT_EQ(gather_sweep_csv(service.ptr, "sizes=twelve\n", &json),
             GATHER_STATUS_USAGE);
+  // A removed key fails like any unknown one (moves are recorded only
+  // through trace_path, the binary trace).
+  EXPECT_EQ(gather_run_json(service.ptr, "record_trace=1\n", &json),
+            GATHER_STATUS_USAGE);
+  EXPECT_NE(std::string(gather_last_error()).find("record_trace"),
+            std::string::npos)
+      << gather_last_error();
   // Narrowed keys are range-checked, never wrapped or overflowed, and
   // the error names the key.
   for (const std::string line :

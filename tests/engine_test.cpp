@@ -8,6 +8,7 @@
 
 #include "graph/generators.hpp"
 #include "sim/engine.hpp"
+#include "sim/trace.hpp"
 #include "support/assert.hpp"
 
 namespace gather::sim {
@@ -447,15 +448,22 @@ TEST(Engine, NoMessagesWhenAlone) {
 
 TEST(Engine, TraceRecordsMoves) {
   const graph::Graph g = graph::make_path(4);
+  TraceRecorder recorder;
   EngineConfig cfg = config_with_cap(10);
-  cfg.record_trace = true;
+  cfg.trace_recorder = &recorder;
   Engine engine(g, cfg);
   engine.add_robot(std::make_unique<ScriptedRobot>(1, walk_then_terminate(2)), 0);
   (void)engine.run();
-  ASSERT_EQ(engine.trace().size(), 2u);
-  EXPECT_EQ(engine.trace()[0].from, 0u);
-  EXPECT_EQ(engine.trace()[0].to, 1u);
-  EXPECT_EQ(engine.trace()[1].round, 1u);
+  const Trace trace = decode_trace(recorder.bytes());
+  ASSERT_EQ(trace.robots.size(), 1u);
+  EXPECT_EQ(trace.robots[0].start, 0u);
+  std::vector<std::pair<Round, NodeId>> moves;  // (round, to)
+  for (const TraceRound& round : trace.rounds) {
+    for (const TraceMove& move : round.moves) moves.emplace_back(round.round, move.to);
+  }
+  ASSERT_EQ(moves.size(), 2u);
+  EXPECT_EQ(moves[0], (std::pair<Round, NodeId>{0, 1}));
+  EXPECT_EQ(moves[1], (std::pair<Round, NodeId>{1, 2}));
 }
 
 }  // namespace

@@ -20,7 +20,7 @@ RunSpec faster_spec(const graph::Graph& g, std::uint64_t seed) {
 }
 
 sim::Round stage_end(const Schedule& sched, std::size_t idx) {
-  return sched.stages()[idx].start + sched.stages()[idx].duration;
+  return sched.stages()[idx].end();
 }
 
 TEST(Theorem16, ManyRobotsRegimeGathersInStageTwoOrEarlier) {

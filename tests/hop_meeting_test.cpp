@@ -23,7 +23,7 @@ RunSpec faster_spec(const graph::Graph& g, std::uint64_t seed) {
 sim::Round stage_deadline(const Schedule& sched, unsigned d) {
   const auto& stages = sched.stages();
   const std::size_t idx = std::min<std::size_t>(d, stages.size() - 1);
-  return stages[idx].start + stages[idx].duration;
+  return stages[idx].end();
 }
 
 class PairAtDistance

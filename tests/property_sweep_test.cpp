@@ -170,8 +170,7 @@ TEST(ScaleSweep, HundredNodeRingWithManyRobots) {
   EXPECT_TRUE(out.result.detection_correct);
   EXPECT_LE(out.gathered_stage_hop, 2);
   const Schedule sched = Schedule::make(spec.config);
-  EXPECT_LE(out.result.metrics.rounds,
-            sched.stages()[2].start + sched.stages()[2].duration);
+  EXPECT_LE(out.result.metrics.rounds, sched.stages()[2].end());
 }
 
 TEST(CrossAlgorithmSweep, AllThreeAgreeOnGatherSuccess) {

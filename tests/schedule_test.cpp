@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "core/schedule.hpp"
+#include "support/math.hpp"
 #include "uxs/uxs.hpp"
 
 namespace gather::core {
@@ -39,14 +40,20 @@ TEST(Schedule, DefaultLadderHasSevenStages) {
 }
 
 TEST(Schedule, StagesAreContiguous) {
-  const Schedule s = Schedule::make(config_for(9));
-  Round at = 0;
-  for (const Stage& stage : s.stages()) {
-    EXPECT_EQ(stage.start, at);
-    EXPECT_GE(stage.duration, 1u);
-    at += stage.duration;
+  // n = 10^6 saturates the deep hop stages' durations: starts saturate
+  // too, and end() must never wrap below its start.
+  for (const std::size_t n : {std::size_t{9}, std::size_t{1000000}}) {
+    const Schedule s = Schedule::make(config_for(n));
+    Round at = 0;
+    for (const Stage& stage : s.stages()) {
+      EXPECT_EQ(stage.start, at) << "n=" << n;
+      EXPECT_GE(stage.duration, 1u) << "n=" << n;
+      EXPECT_GE(stage.end(), stage.start) << "n=" << n;
+      at = support::sat_add(at, stage.duration);
+      EXPECT_EQ(stage.end(), at) << "n=" << n;
+    }
+    EXPECT_GE(s.hard_cap(), at) << "n=" << n;
   }
-  EXPECT_GE(s.hard_cap(), at);
 }
 
 TEST(Schedule, CycleLengthFormula) {

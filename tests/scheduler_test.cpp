@@ -32,6 +32,7 @@
 #include "scenario/sweep.hpp"
 #include "sim/engine.hpp"
 #include "sim/scheduler.hpp"
+#include "sim/trace.hpp"
 #include "support/assert.hpp"
 #include "support/parallel_for.hpp"
 #include "uxs/uxs.hpp"
@@ -399,9 +400,10 @@ TEST(SemiSynchronous, FairnessBoundsConsecutiveSuppression) {
     if (view.round >= 200) return sim::Action::terminate();
     return sim::Action::move(0);
   };
+  sim::TraceRecorder recorder;
   sim::EngineConfig cfg;
   cfg.hard_cap = 2000;
-  cfg.record_trace = true;
+  cfg.trace_recorder = &recorder;
   cfg.scheduler = std::make_shared<sim::SemiSynchronousScheduler>(5, fairness);
   sim::Engine engine(g, cfg);
   engine.add_robot(std::make_unique<ScriptedRobot>(1, walker), 0);
@@ -414,11 +416,14 @@ TEST(SemiSynchronous, FairnessBoundsConsecutiveSuppression) {
   }
   // Global fairness: the adversary suppressed, but never for a whole
   // fairness window.
-  const auto& trace = engine.trace();
-  ASSERT_GE(trace.size(), 2u);
-  bool suppressed_at_least_once = trace.front().round > 0;
-  for (std::size_t i = 1; i < trace.size(); ++i) {
-    const sim::Round gap = trace[i].round - trace[i - 1].round;
+  std::vector<sim::Round> move_rounds;
+  for (const sim::TraceRound& round : sim::decode_trace(recorder.bytes()).rounds) {
+    if (!round.moves.empty()) move_rounds.push_back(round.round);
+  }
+  ASSERT_GE(move_rounds.size(), 2u);
+  bool suppressed_at_least_once = move_rounds.front() > 0;
+  for (std::size_t i = 1; i < move_rounds.size(); ++i) {
+    const sim::Round gap = move_rounds[i] - move_rounds[i - 1];
     EXPECT_LE(gap, fairness) << "gap at activation " << i;
     suppressed_at_least_once |= gap > 1;
   }

@@ -1,4 +1,4 @@
-// Timeline tests: stage-bucketed trace analysis.
+// Timeline tests: stage-bucketed analysis of the decoded binary trace.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -7,17 +7,27 @@
 #include "core/timeline.hpp"
 #include "graph/generators.hpp"
 #include "graph/placement.hpp"
+#include "scenario/scenario.hpp"
 #include "uxs/uxs.hpp"
 
 namespace gather::core {
 namespace {
 
-RunOutcome traced_run(const graph::Graph& g, const graph::Placement& placement) {
+struct TracedRun {
+  RunOutcome out;
+  sim::Trace trace;
+};
+
+TracedRun traced_run(const graph::Graph& g, const graph::Placement& placement) {
+  sim::TraceRecorder recorder;
   RunSpec spec;
   spec.algorithm = AlgorithmKind::FasterGathering;
   spec.config = make_config(g, uxs::make_covering_sequence(g, 3));
-  spec.record_trace = true;
-  return run_gathering(g, placement, spec);
+  spec.trace_recorder = &recorder;
+  TracedRun run;
+  run.out = run_gathering(g, placement, spec);
+  run.trace = sim::decode_trace(recorder.bytes());
+  return run;
 }
 
 TEST(Timeline, TotalsMatchEngineMetrics) {
@@ -25,9 +35,35 @@ TEST(Timeline, TotalsMatchEngineMetrics) {
   const auto nodes = graph::nodes_undispersed_random(g, 3, 5);
   const auto placement =
       graph::make_placement(nodes, graph::labels_sequential(3));
-  const RunOutcome out = traced_run(g, placement);
+  const auto [out, trace] = traced_run(g, placement);
   ASSERT_TRUE(out.schedule.has_value());
-  const Timeline timeline = Timeline::from_trace(out.trace, *out.schedule);
+  const Timeline timeline = Timeline::from_trace(trace, *out.schedule);
+  EXPECT_EQ(timeline.total_moves(), out.result.metrics.total_moves);
+}
+
+TEST(Timeline, CountsCarriedMovesUnderSemiSynchrony) {
+  // Under the semi-synchronous adversary a suppressed follower is carried
+  // by its leader's take-followers move; those moves are recorded in
+  // TraceRound::carried, and the stage totals fall short of
+  // metrics.total_moves unless they are counted too.
+  scenario::ScenarioSpec spec;
+  spec.family = "ring";
+  spec.n = 6;
+  spec.k = 2;
+  spec.placement = "undispersed";
+  spec.scheduler = "semi-synchronous";
+  spec.seed = 1;
+  scenario::ResolvedScenario resolved = scenario::resolve(spec);
+  sim::TraceRecorder recorder;
+  resolved.run_spec.trace_recorder = &recorder;
+  const RunOutcome out =
+      run_gathering(*resolved.graph, resolved.placement, resolved.run_spec);
+  const sim::Trace trace = sim::decode_trace(recorder.bytes());
+  std::uint64_t carried = 0;
+  for (const sim::TraceRound& round : trace.rounds) carried += round.carried.size();
+  ASSERT_GT(carried, 0u) << "the instance no longer exercises the carry path";
+  ASSERT_TRUE(out.schedule.has_value());
+  const Timeline timeline = Timeline::from_trace(trace, *out.schedule);
   EXPECT_EQ(timeline.total_moves(), out.result.metrics.total_moves);
 }
 
@@ -36,8 +72,8 @@ TEST(Timeline, UndispersedRunActiveOnlyInStageZero) {
   const auto nodes = graph::nodes_undispersed_random(g, 3, 5);
   const auto placement =
       graph::make_placement(nodes, graph::labels_sequential(3));
-  const RunOutcome out = traced_run(g, placement);
-  const Timeline timeline = Timeline::from_trace(out.trace, *out.schedule);
+  const auto [out, trace] = traced_run(g, placement);
+  const Timeline timeline = Timeline::from_trace(trace, *out.schedule);
   EXPECT_EQ(timeline.first_active_stage(), 0);
   for (std::size_t i = 1; i < timeline.stages().size(); ++i) {
     EXPECT_EQ(timeline.stages()[i].moves, 0u) << "stage " << i;
@@ -49,9 +85,9 @@ TEST(Timeline, PlantedDistanceShowsLadderActivity) {
   const auto nodes = graph::nodes_pair_at_distance(g, 2, 3, 7);
   const auto placement =
       graph::make_placement(nodes, graph::labels_sequential(2));
-  const RunOutcome out = traced_run(g, placement);
+  const auto [out, trace] = traced_run(g, placement);
   ASSERT_TRUE(out.result.detection_correct);
-  const Timeline timeline = Timeline::from_trace(out.trace, *out.schedule);
+  const Timeline timeline = Timeline::from_trace(trace, *out.schedule);
   // Stage 0 (undispersed) is silent on a dispersed start; hop stages
   // 1..3 walk; the run resolves in stage 3.
   EXPECT_EQ(timeline.stages()[0].moves, 0u);
@@ -69,8 +105,8 @@ TEST(Timeline, TracksPerRobotMoves) {
   const auto nodes = graph::nodes_undispersed_random(g, 2, 3);
   const auto placement =
       graph::make_placement(nodes, graph::labels_sequential(2));
-  const RunOutcome out = traced_run(g, placement);
-  const Timeline timeline = Timeline::from_trace(out.trace, *out.schedule);
+  const auto [out, trace] = traced_run(g, placement);
+  const Timeline timeline = Timeline::from_trace(trace, *out.schedule);
   const auto& stage0 = timeline.stages()[0];
   std::uint64_t sum = 0;
   for (const std::uint64_t moves : stage0.moves_by_robot) sum += moves;
@@ -90,8 +126,8 @@ TEST(Timeline, PrintRendersStages) {
   const auto nodes = graph::nodes_undispersed_random(g, 2, 3);
   const auto placement =
       graph::make_placement(nodes, graph::labels_sequential(2));
-  const RunOutcome out = traced_run(g, placement);
-  const Timeline timeline = Timeline::from_trace(out.trace, *out.schedule);
+  const auto [out, trace] = traced_run(g, placement);
+  const Timeline timeline = Timeline::from_trace(trace, *out.schedule);
   std::ostringstream os;
   timeline.print(os);
   EXPECT_NE(os.str().find("undispersed"), std::string::npos);

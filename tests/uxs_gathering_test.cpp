@@ -5,6 +5,7 @@
 #include "core/run.hpp"
 #include "graph/generators.hpp"
 #include "graph/placement.hpp"
+#include "sim/trace.hpp"
 #include "support/bitstring.hpp"
 #include "uxs/coverage.hpp"
 #include "uxs/uxs.hpp"
@@ -144,16 +145,23 @@ TEST(UxsGathering, LeaderWalkMatchesCoverageWalker) {
   RunSpec spec;
   spec.algorithm = AlgorithmKind::UxsOnly;
   spec.config = make_config(g, seq);
-  spec.record_trace = true;
+  sim::TraceRecorder recorder;
+  spec.trace_recorder = &recorder;
   const RunOutcome out = run_gathering(g, placement, spec);
   ASSERT_TRUE(out.result.all_terminated);
-  // The first T trace events are phase 0's exploration walk.
+  // The first T moves are phase 0's exploration walk, one per round.
+  const sim::Trace trace = sim::decode_trace(recorder.bytes());
+  std::vector<std::pair<sim::Round, sim::NodeId>> moves;  // (round, to)
+  for (const sim::TraceRound& round : trace.rounds) {
+    for (const sim::TraceMove& move : round.moves) {
+      moves.emplace_back(round.round, move.to);
+    }
+  }
   const sim::Round t = seq->length();
-  ASSERT_GE(out.trace.size(), t);
+  ASSERT_GE(moves.size(), t);
   for (std::uint64_t steps = 1; steps <= t; ++steps) {
-    const auto& event = out.trace[steps - 1];
-    ASSERT_EQ(event.round, steps - 1);
-    EXPECT_EQ(event.to, uxs::walk_endpoint(g, *seq, 4, steps))
+    ASSERT_EQ(moves[steps - 1].first, steps - 1);
+    EXPECT_EQ(moves[steps - 1].second, uxs::walk_endpoint(g, *seq, 4, steps))
         << "diverged at step " << steps;
   }
 }
