@@ -298,6 +298,10 @@ int run_diff(const support::CliParser& cli) {
 }
 
 int run_sweep(const support::CliParser& cli, Service& service) {
+  if (cli.get_flag("timeline")) {
+    throw support::CliError("--timeline is single-run only (it tabulates "
+                            "the one trace --record wrote)");
+  }
   const scenario::SweepSpec sweep =
       api::parse_sweep_spec(spec_text(cli, true));
   scenario::SweepStats stats;
@@ -470,7 +474,7 @@ int main(int argc, char** argv) {
                  "sweep mode: record every row's trace into this directory");
   cli.add_flag("timeline",
                "print per-stage movement analysis, built from the trace "
-               "--record writes (requires --record)");
+               "--record writes (requires --record; single runs only)");
   cli.add_option("dot", "", "write instance+result as Graphviz DOT");
   cli.add_option("save-graph", "", "write the graph as an edge list");
   cli.add_flag("list", "list every registry entry and exit");

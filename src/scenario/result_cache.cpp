@@ -1,10 +1,15 @@
 #include "scenario/result_cache.hpp"
 
+#include <vector>
+
 namespace gather::scenario {
 namespace {
 
-std::uint64_t payload_bytes(const std::string& key) {
-  return static_cast<std::uint64_t>(key.size()) + sizeof(CachedRun);
+std::uint64_t payload_bytes(const std::string& key, const CachedRun& run) {
+  const std::vector<std::uint64_t>& per_robot =
+      run.outcome.result.metrics.moves_per_robot;
+  return static_cast<std::uint64_t>(key.size()) + sizeof(CachedRun) +
+         per_robot.size() * sizeof(per_robot.front());
 }
 
 }  // namespace
@@ -36,7 +41,7 @@ void ResultCache::store(const std::string& fingerprint, const CachedRun& run) {
   Entry entry;
   entry.run = run;
   entry.last_use = ++tick_;
-  entry.bytes = payload_bytes(fingerprint);
+  entry.bytes = payload_bytes(fingerprint, run);
   entries_.emplace(fingerprint, std::move(entry));
   while (entries_.size() > capacity_) evict_lru_locked();
 }

@@ -38,8 +38,8 @@ struct CachedRun {
 };
 
 /// Counters for SweepRunner stats and `gather_cli --cache-stats`.
-/// `resident_bytes` approximates live payload: fingerprint keys plus
-/// the fixed outcome footprint.
+/// `resident_bytes` approximates live payload: fingerprint keys, the
+/// fixed outcome footprint, and each outcome's per-robot move counts.
 struct ResultCacheStats {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;

@@ -117,15 +117,32 @@ bool Engine::heap_pop_next(Round& round) {
   return false;
 }
 
-void Engine::sync_local(std::uint32_t slot, Round r) {
-  // Lazy catch-up of the activation-count clock: every adversary-activated
-  // round in the skipped stretch ticked the clock, acted on or not.
-  // activates() is pure, so this one count over [synced_to_, r) agrees
-  // exactly with the round-by-round increments naive stepping performs.
-  const Round from = synced_to_[slot];
-  if (from >= r) return;
-  local_[slot] += sched_->count_activations(from, r, slot, ids_[slot]);
-  synced_to_[slot] = r;
+void Engine::sync_pending(Round r) {
+  // Lazy catch-up of the activation-count clocks: every adversary-activated
+  // round in a skipped stretch ticked the clock, acted on or not. One
+  // batched count brings every pending slot (not terminated, not crashed
+  // by r, clock behind r) up to r, so the scheduler can share per-round
+  // work across slots. activates() is pure, so a slot synced here before
+  // it next pops gets exactly the count the round-by-round increments of
+  // naive stepping would give it.
+  std::size_t n = 0;
+  const std::size_t num_slots = ids_.size();
+  for (std::uint32_t s = 0; s < num_slots; ++s) {
+    if (terminated_[s] != 0 || synced_to_[s] >= r) continue;
+    if (any_crash_ && r >= crash_at_[s]) continue;
+    sync_slots_[n] = s;
+    sync_ids_[n] = ids_[s];
+    sync_from_[n] = synced_to_[s];
+    sync_counts_[n] = local_[s];
+    ++n;
+  }
+  sched_->count_activations({sync_slots_.data(), n}, {sync_ids_.data(), n},
+                            {sync_from_.data(), n}, r,
+                            {sync_counts_.data(), n});
+  for (std::size_t i = 0; i < n; ++i) {
+    local_[sync_slots_[i]] = sync_counts_[i];
+    synced_to_[sync_slots_[i]] = r;
+  }
 }
 
 bool Engine::resolve_carry(std::uint32_t s, Round r) {
@@ -256,6 +273,10 @@ RunResult Engine::run() {
     carry_has_.assign(num_slots, 0);
     carry_edge_.assign(num_slots, graph::HalfEdge{});
     carried_.reserve(num_slots);
+    sync_slots_.assign(num_slots, 0);
+    sync_ids_.assign(num_slots, 0);
+    sync_from_.assign(num_slots, 0);
+    sync_counts_.assign(num_slots, 0);
   }
   view_arena_.resize(num_slots);
   views_.resize(num_slots);
@@ -356,7 +377,7 @@ RunResult Engine::run() {
             // clock up over the skipped stretch; if a sleep deadline is
             // pending and local time still lags it (suppressed rounds
             // did not tick), push the wake out by the remaining deficit.
-            sync_local(slot, r);
+            if (synced_to_[slot] < r) sync_pending(r);
             if (sleep_target_[slot] != kNoRound &&
                 local_[slot] < sleep_target_[slot]) {
               heap_push(support::sat_add(r, sleep_target_[slot] - local_[slot]),
@@ -395,8 +416,8 @@ RunResult Engine::run() {
     if (suppressing) {
       // Every consulted slot experienced round r as one activation. In
       // naive mode active_ is exactly the adversary-activated set, so the
-      // clocks stay exact; in skip mode sleeping slots catch up lazily
-      // through sync_local when they next pop.
+      // clocks stay exact; in skip mode the other slots catch up lazily
+      // through sync_pending at the next round where a popped slot lags.
       for (const std::uint32_t s : active_) {
         local_[s] += 1;
         synced_to_[s] = r + 1;

@@ -33,17 +33,19 @@
 //    since its release. Stay{until} deadlines are local too. For
 //    non-suppressing schedulers local time is `global − release` and the
 //    translation is two adds; under suppression the engine keeps a
-//    per-slot clock that is advanced lazily, one
-//    Scheduler::count_activations() call per catch-up over a skipped
-//    stretch (the count of the pure activates() predicate), and sleep
-//    deadlines become *conservative* global wakes (local time advances
-//    at most one per round) that are re-checked on wake and pushed out
-//    by the remaining deficit — so event-driven skipping stays exact
-//    under suppression. A robot whose most recent decision was Follow
-//    holds a *standing order*: if the scheduler suppresses it in a round
-//    its leader moves with take_followers, the engine carries it along
-//    (the F2F "come along" message does not require the follower to be
-//    activated). Under every non-suppressing scheduler followers are
+//    per-slot clock that is advanced lazily: the first pop of a round
+//    that finds its slot behind makes one batched
+//    Scheduler::count_activations() call bringing every pending slot up
+//    to that round (the count of the pure activates() predicate over
+//    each slot's skipped stretch), and sleep deadlines become
+//    *conservative* global wakes (local time advances at most one per
+//    round) that are re-checked on wake and pushed out by the remaining
+//    deficit — so event-driven skipping stays exact under suppression.
+//    A robot whose most recent decision was Follow holds a *standing
+//    order*: if the scheduler suppresses it in a round its leader moves
+//    with take_followers, the engine carries it along (the F2F "come
+//    along" message does not require the follower to be activated).
+//    Under every non-suppressing scheduler followers are
 //    re-activated each round, so the carry path is provably unreachable
 //    there and the synchronous instruction stream is unchanged.
 //
@@ -245,6 +247,11 @@ class Engine {
   std::vector<Round> carry_stamp_;         ///< memo stamp for resolve_carry
   std::vector<std::uint8_t> carry_has_;
   std::vector<graph::HalfEdge> carry_edge_;
+  /// The batch sync_pending hands to Scheduler::count_activations.
+  std::vector<std::uint32_t> sync_slots_;
+  std::vector<RobotId> sync_ids_;
+  std::vector<Round> sync_from_;
+  std::vector<Round> sync_counts_;
 
   [[nodiscard]] std::span<const RobotPublicState> view_for(NodeId node,
                                                            Round r);
@@ -265,9 +272,10 @@ class Engine {
   template <int Mode>
   std::uint64_t decide_one(std::uint32_t s, Round r);
 
-  /// Advance slot's local clock over [synced_to_, r) with one
-  /// Scheduler::count_activations() call (suppressing schedulers only).
-  void sync_local(std::uint32_t slot, Round r);
+  /// Advance every pending slot's local clock over [synced_to_, r) with
+  /// one batched Scheduler::count_activations() call (suppressing
+  /// schedulers only; called at most once per round).
+  void sync_pending(Round r);
   /// Whether the inactive slot is carried by a take-followers move of
   /// its standing-follow chain this round; fills carry_edge_[slot].
   bool resolve_carry(std::uint32_t slot, Round r);

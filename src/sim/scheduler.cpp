@@ -1,6 +1,7 @@
 #include "sim/scheduler.hpp"
 
 #include <algorithm>
+#include <array>
 
 #include "support/assert.hpp"
 #include "support/math.hpp"
@@ -27,13 +28,15 @@ Round Scheduler::crash_round(std::uint32_t, RobotId) const { return kNoRound; }
 
 bool Scheduler::activates(Round, std::uint32_t, RobotId) const { return true; }
 
-Round Scheduler::count_activations(Round from, Round to, std::uint32_t slot,
-                                   RobotId id) const {
-  Round count = 0;
-  for (Round g = from; g < to; ++g) {
-    if (activates(g, slot, id)) ++count;
+void Scheduler::count_activations(std::span<const std::uint32_t> slots,
+                                  std::span<const RobotId> ids,
+                                  std::span<const Round> from, Round to,
+                                  std::span<Round> counts) const {
+  for (std::size_t i = 0; i < slots.size(); ++i) {
+    for (Round g = from[i]; g < to; ++g) {
+      if (activates(g, slots[i], ids[i])) ++counts[i];
+    }
   }
-  return count;
 }
 
 Round Scheduler::fairness_bound() const { return 0; }
@@ -93,29 +96,74 @@ bool SemiSynchronousScheduler::activates(Round r, std::uint32_t slot,
   return (draw(seed_, support::hash_combine(0xa1, r), slot) & 1) != 0;
 }
 
-Round SemiSynchronousScheduler::count_activations(Round from, Round to,
-                                                  std::uint32_t slot,
-                                                  RobotId) const {
-  // activates() summed over [from, to): the phase is drawn once, the
-  // residue g % fairness_ advances with g, and the coin is the same draw.
-  const Round phase = draw(seed_, 0x5c, slot) % fairness_;
-  Round residue = from % fairness_;
-  Round count = 0;
-  // The local-clock catch-up runs over every skipped round of a suppressed
-  // robot; gather_lint keeps it allocation-free.
-  // gather-lint: hot-path-begin(ssync-clock)
-  for (Round g = from; g < to; ++g) {
-    // The coin is added, not branched on: a branch on a fair coin
-    // mispredicts every other round and serializes the hash chains.
-    if (residue == phase) {
-      ++count;
-    } else {
-      count += draw(seed_, support::hash_combine(0xa1, g), slot) & 1;
+void SemiSynchronousScheduler::count_activations(
+    std::span<const std::uint32_t> slots, std::span<const RobotId>,
+    std::span<const Round> from, Round to, std::span<Round> counts) const {
+  // activates() summed over each slot's [from[i], to). The coin
+  // draw(seed_, hash_combine(0xa1, g), slot) is
+  // SplitMix64(hash_combine(prefix(g), slot)) with a slot-independent
+  // prefix(g) = hash_combine(seed_, hash_combine(0xa1, g)), so each block
+  // of rounds hashes its prefixes (and their residues g % fairness_) once
+  // for the whole batch, then runs one coin loop per slot over the
+  // block's rounds at or after that slot's from. Phases are drawn once
+  // per call, for up to kClockGroup slots at a time; a larger batch is
+  // counted group by group, re-hashing the prefixes per group.
+  constexpr std::size_t kClockBlock = 64;
+  constexpr std::size_t kClockGroup = 64;
+  // Left uninitialized: each entry is written before it is read, and a
+  // zero fill would cost more than a short catch-up's whole count.
+  std::array<Round, kClockGroup> phase;
+  std::array<std::uint64_t, kClockBlock> prefix;
+  std::array<Round, kClockBlock> residue_at;
+  for (std::size_t g0 = 0; g0 < slots.size(); g0 += kClockGroup) {
+    const std::size_t group = std::min(kClockGroup, slots.size() - g0);
+    Round lo = to;
+    for (std::size_t i = 0; i < group; ++i) {
+      phase[i] = draw(seed_, 0x5c, slots[g0 + i]) % fairness_;
+      lo = std::min(lo, from[g0 + i]);
     }
-    if (++residue == fairness_) residue = 0;
+    if (lo >= to) continue;
+    // One residue for the whole group, advanced round by round instead of
+    // a per-round `g % fairness_`.
+    Round residue = lo % fairness_;
+    // The local-clock catch-up runs over every skipped round of every
+    // suppressed robot; gather_lint keeps it allocation-free.
+    // gather-lint: hot-path-begin(ssync-clock)
+    for (Round begin = lo; begin < to;) {
+      const std::size_t len = static_cast<std::size_t>(
+          std::min<Round>(kClockBlock, to - begin));
+      for (std::size_t j = 0; j < len; ++j) {
+        prefix[j] = support::hash_combine(
+            seed_, support::hash_combine(0xa1, begin + j));
+        residue_at[j] = residue;
+        if (++residue == fairness_) residue = 0;
+      }
+      for (std::size_t i = 0; i < group; ++i) {
+        const Round start = from[g0 + i];
+        if (start >= begin + len) continue;
+        const std::uint64_t slot = slots[g0 + i];
+        const Round slot_phase = phase[i];
+        Round count = 0;
+        // The coin is added, not branched on: a branch on a fair coin
+        // mispredicts every other round and serializes the hash chains.
+        // The phase test is periodic, so its branch predicts, and it
+        // saves the coin on every phase round.
+        for (std::size_t j = start > begin ? start - begin : 0; j < len; ++j) {
+          if (residue_at[j] == slot_phase) {
+            ++count;
+          } else {
+            count += support::SplitMix64(
+                         support::hash_combine(prefix[j], slot))
+                         .next() &
+                     1;
+          }
+        }
+        counts[g0 + i] += count;
+      }
+      begin += len;
+    }
+    // gather-lint: hot-path-end(ssync-clock)
   }
-  // gather-lint: hot-path-end(ssync-clock)
-  return count;
 }
 
 Round SemiSynchronousScheduler::extend_cap(Round cap) const {

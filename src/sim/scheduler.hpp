@@ -44,11 +44,13 @@
 //    local clock by one, so the engine derives each robot's local time
 //    by counting this predicate over the global rounds since release
 //    (lazily, via the conservative-wake/re-check machinery in
-//    sim/engine.cpp): each catch-up over a skipped stretch [from, to) is
-//    one count_activations(from, to, slot, id) call. Its default loops
-//    over activates(), so a scheduler that overrides only the predicate
-//    stays exact; SemiSynchronousScheduler overrides both with the same
-//    bits and counts without a virtual call per round.
+//    sim/engine.cpp). A catch-up is batched per round: the first pop at
+//    round r that finds its robot's clock behind makes one
+//    count_activations(slots, ids, from, r, counts) call that brings
+//    every pending robot up to r. Its default loops over activates() per
+//    slot, so a scheduler that overrides only the predicate stays exact;
+//    SemiSynchronousScheduler overrides both with the same bits and
+//    shares the slot-independent half of the coin across the batch.
 //
 // The synchronous scheduler answers (0, never, always) — bit-identical
 // to an engine with no scheduler at all (pinned by
@@ -57,6 +59,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string_view>
 #include <vector>
 
@@ -87,13 +90,16 @@ class Scheduler {
   [[nodiscard]] virtual bool activates(Round r, std::uint32_t slot,
                                        RobotId id) const;
 
-  /// The number of rounds g in [from, to) for which activates(g, slot, id)
-  /// holds (0 when from >= to) — the engine's local-clock catch-up over a
-  /// skipped stretch, one call per catch-up. The default loops over
-  /// activates(); an override must return exactly that count.
-  [[nodiscard]] virtual Round count_activations(Round from, Round to,
-                                                std::uint32_t slot,
-                                                RobotId id) const;
+  /// The engine's local-clock catch-up, batched over the pending slots:
+  /// for every i, adds to counts[i] the number of rounds g in
+  /// [from[i], to) for which activates(g, slots[i], ids[i]) holds
+  /// (nothing when from[i] >= to). slots, ids, from and counts have one
+  /// entry per slot, in any order. The default loops over activates()
+  /// slot by slot; an override must add exactly those counts.
+  virtual void count_activations(std::span<const std::uint32_t> slots,
+                                 std::span<const RobotId> ids,
+                                 std::span<const Round> from, Round to,
+                                 std::span<Round> counts) const;
 
   /// Suppression window: a pending robot is activated at least once every
   /// this-many rounds. 0 = this scheduler never suppresses (the engine
@@ -171,11 +177,13 @@ class SemiSynchronousScheduler final : public Scheduler {
   }
   [[nodiscard]] bool activates(Round r, std::uint32_t slot,
                                RobotId id) const override;
-  /// Same bits as the activates() loop, with the slot's phase drawn once
-  /// and a running residue in place of a per-round `g % fairness`.
-  [[nodiscard]] Round count_activations(Round from, Round to,
-                                        std::uint32_t slot,
-                                        RobotId id) const override;
+  /// Same bits as the activates() loop, in blocks of 64 rounds: the
+  /// slot-independent half of each round's coin is hashed once per block
+  /// for the whole batch, each slot's phase drawn once per call.
+  void count_activations(std::span<const std::uint32_t> slots,
+                         std::span<const RobotId> ids,
+                         std::span<const Round> from, Round to,
+                         std::span<Round> counts) const override;
   [[nodiscard]] Round fairness_bound() const override { return fairness_; }
   [[nodiscard]] Round extend_cap(Round cap) const override;
   [[nodiscard]] bool adversarial() const override { return fairness_ > 1; }

@@ -58,15 +58,34 @@ class SimError : public std::runtime_error {
 };
 
 namespace detail {
+/// The part of a __FILE__ path a violation message names: from its last
+/// "src/" directory on (repo-relative for library sources), else its base
+/// name. Messages end up in traces and sweep outputs, so they must not
+/// depend on where the tree was checked out and built.
+[[nodiscard]] inline const char* source_name(const char* file) {
+  const char* base = file;
+  const char* src = nullptr;
+  for (const char* p = file; *p != '\0'; ++p) {
+    if (p != file && p[-1] != '/' && p[-1] != '\\') continue;
+    base = p;  // p starts a path component
+    if (p[0] == 's' && p[1] == 'r' && p[2] == 'c' &&
+        (p[3] == '/' || p[3] == '\\')) {
+      src = p;
+    }
+  }
+  return src != nullptr ? src : base;
+}
+
 [[noreturn]] inline void contract_fail(const char* kind, const char* expr,
                                        const char* file, int line) {
   throw ContractViolation(std::string(kind) + " failed: " + expr + " at " +
-                          file + ":" + std::to_string(line));
+                          source_name(file) + ":" + std::to_string(line));
 }
 [[noreturn]] inline void protocol_fail(const char* expr, const char* file,
                                        int line) {
   throw ProtocolViolation(std::string("protocol invariant failed: ") + expr +
-                          " at " + file + ":" + std::to_string(line));
+                          " at " + source_name(file) + ":" +
+                          std::to_string(line));
 }
 }  // namespace detail
 

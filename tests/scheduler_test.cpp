@@ -23,6 +23,8 @@
 
 #include <functional>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "core/robots.hpp"
 #include "core/run.hpp"
@@ -364,6 +366,8 @@ TEST(SchedulerEquivalence, SkipAndNaiveAgreeUnderEveryAdversary) {
                std::vector<sim::Round>{3, 0, 9, 1, 6})},
           {"semi-synchronous",
            std::make_shared<sim::SemiSynchronousScheduler>(17, 3)},
+          {"semi-synchronous fairness=7",
+           std::make_shared<sim::SemiSynchronousScheduler>(5, 7)},
           {"crash-fault",
            std::make_shared<sim::CrashFaultScheduler>(
                std::vector<sim::Round>{sim::kNoRound, 40, sim::kNoRound,
@@ -579,36 +583,74 @@ TEST(SemiSynchronous, CapLimitedRunCannotFalselyReportNonTermination) {
   }
 }
 
+/// Runs one batch through the SSYNC override and through the base-class
+/// per-slot loop over activates() (called non-virtually), both adding to
+/// the same nonzero starting counts, and expects identical results.
+void expect_batch_matches_predicate(const sim::SemiSynchronousScheduler& sched,
+                                    const std::vector<std::uint32_t>& slots,
+                                    const std::vector<sim::Round>& from,
+                                    sim::Round to, const std::string& what) {
+  std::vector<sim::RobotId> ids;
+  for (const std::uint32_t slot : slots) ids.push_back(slot + 7);
+  std::vector<sim::Round> batched(slots.size(), 3);
+  std::vector<sim::Round> reference(slots.size(), 3);
+  sched.count_activations(slots, ids, from, to, batched);
+  sched.sim::Scheduler::count_activations(slots, ids, from, to, reference);
+  for (std::size_t i = 0; i < slots.size(); ++i) {
+    EXPECT_EQ(batched[i], reference[i])
+        << what << " slot " << slots[i] << " range [" << from[i] << ", "
+        << to << ")";
+  }
+}
+
 TEST(SemiSynchronous, CountActivationsMatchesPerRoundPredicate) {
-  // The engine advances local clocks with one count_activations() call
-  // per catch-up; the batched override must equal the base-class loop
-  // over activates() (called non-virtually below) on every range —
-  // empty, single rounds, ranges across residue wraps, and starts far
-  // beyond any round a run reaches.
+  // The engine advances every lagging local clock with one batched
+  // count_activations() call per round; the SSYNC override (prefixes
+  // shared per 64-round block, one coin loop per slot) must add exactly
+  // the base-class per-slot loop over activates(). The batches mix
+  // `from` values inside and across blocks, at and past `to`, with
+  // starts far beyond any round a run reaches.
   constexpr sim::Round kFar = sim::Round{1} << 40;
+  const std::vector<std::uint32_t> slots = {0, 1, 5, 1000, 2, 3, 4, 9, 77};
   for (const sim::Round fairness : {1u, 2u, 3u, 4u, 7u, 64u, 65u}) {
     for (const std::uint64_t seed : {1ull, 17ull, 0x9e3779b97f4a7c15ull}) {
       const sim::SemiSynchronousScheduler sched(seed, fairness);
-      for (const std::uint32_t slot : {0u, 1u, 5u, 1000u}) {
-        const sim::RobotId id = slot + 7;
-        for (const sim::Round start :
-             {sim::Round{0}, sim::Round{1}, fairness - 1, fairness,
-              3 * fairness + 1, kFar, kFar + fairness - 1,
-              (sim::Round{1} << 62) + 5}) {
-          for (const sim::Round len :
-               {sim::Round{0}, sim::Round{1}, sim::Round{2}, fairness,
-                fairness + 1, 3 * fairness + 2, sim::Round{200}}) {
-            const sim::Round end = start + len;
-            EXPECT_EQ(sched.count_activations(start, end, slot, id),
-                      sched.sim::Scheduler::count_activations(start, end,
-                                                              slot, id))
-                << "fairness " << fairness << " seed " << seed << " slot "
-                << slot << " range [" << start << ", " << end << ")";
-          }
+      const std::string tag =
+          "fairness " + std::to_string(fairness) + " seed " +
+          std::to_string(seed);
+      for (const sim::Round start :
+           {sim::Round{0}, sim::Round{1}, fairness - 1, 3 * fairness + 1,
+            kFar, kFar + fairness - 1, (sim::Round{1} << 62) + 5}) {
+        for (const sim::Round len :
+             {sim::Round{0}, sim::Round{1}, sim::Round{2}, sim::Round{63},
+              sim::Round{64}, sim::Round{65}, sim::Round{130}, fairness + 1,
+              sim::Round{200}}) {
+          const sim::Round to = start + len;
+          // One slot per offset: block-aligned and mid-block starts, a
+          // start at `to` and one past it (both count nothing).
+          const std::vector<sim::Round> offsets = {0,  1,   37,      63, 64,
+                                                   65, 129, len, len + 5};
+          std::vector<sim::Round> from;
+          for (const sim::Round offset : offsets) from.push_back(start + offset);
+          expect_batch_matches_predicate(sched, slots, from, to, tag);
+          // The same batch in reverse order: results follow the slot, not
+          // its position in the batch.
+          std::vector<std::uint32_t> rslots(slots.rbegin(), slots.rend());
+          std::vector<sim::Round> rfrom(from.rbegin(), from.rend());
+          expect_batch_matches_predicate(sched, rslots, rfrom, to, tag);
         }
-        // A reversed range counts nothing, like an empty one.
-        EXPECT_EQ(sched.count_activations(kFar + 1, kFar, slot, id), 0u);
       }
+      // An empty batch is a no-op.
+      expect_batch_matches_predicate(sched, {}, {}, kFar, tag);
+      // More slots than one phase group: no fixed slot limit may drop or
+      // misplace any of them.
+      std::vector<std::uint32_t> many;
+      std::vector<sim::Round> many_from;
+      for (std::uint32_t i = 0; i < 130; ++i) {
+        many.push_back(i);
+        many_from.push_back(kFar + (i * 7) % 150);
+      }
+      expect_batch_matches_predicate(sched, many, many_from, kFar + 140, tag);
     }
   }
 }

@@ -210,6 +210,17 @@ TEST(ResultCacheTest, StoreLookupAndLruEviction) {
   ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(hit->realized_n, 9u);
   EXPECT_EQ(hit->min_pair_distance, 3u);
+  // Resident bytes count each outcome's per-robot move counts: the same
+  // key holding a k=40 run instead of a k=2 one weighs 38 words more.
+  std::uint64_t resident[2] = {0, 0};
+  for (const std::size_t k : {std::size_t{2}, std::size_t{40}}) {
+    ResultCache sized(1);
+    CachedRun robots;
+    robots.outcome.result.metrics.moves_per_robot.assign(k, 1);
+    sized.store("key", robots);
+    resident[k == 40 ? 1 : 0] = sized.stats().resident_bytes;
+  }
+  EXPECT_EQ(resident[1] - resident[0], 38 * sizeof(std::uint64_t));
 }
 
 TEST(FingerprintTest, SeparatesSpecsAndIgnoresTracePath) {

@@ -194,6 +194,39 @@ TEST(TraceRoundTrip, EveryFamilyTimesEveryScheduler) {
   }
 }
 
+TEST(TraceRoundTrip, ViolationMessageNamesNoBuildPath) {
+  // The trace stores a violation's message, so the message must not
+  // embed the absolute source path the library was compiled from: the
+  // same run must record the same bytes in every checkout. Acceptance-
+  // grid instance: complete n=12 k=4 seed 1 under adversarial delays
+  // breaks the map protocol.
+  scenario::ScenarioSpec spec;
+  spec.family = "complete";
+  spec.scheduler = "adversarial-delay";
+  spec.n = 12;
+  spec.k = 4;
+  spec.seed = 1;
+  const scenario::ResolvedScenario resolved = scenario::resolve(spec);
+  TraceRecorder recorder;
+  core::RunSpec run_spec = resolved.run_spec;
+  run_spec.trace_recorder = &recorder;
+  EXPECT_THROW((void)core::run_gathering(*resolved.graph, resolved.placement,
+                                         run_spec),
+               ProtocolViolation);
+  ASSERT_TRUE(recorder.finished());
+  const Trace trace = decode_trace(recorder.bytes());
+  ASSERT_TRUE(trace.violation);
+  const std::string& message = trace.violation_message;
+  // This file sits at <root>/tests/, next to <root>/src/.
+  const std::string here = __FILE__;
+  const std::string root = here.substr(0, here.rfind("tests"));
+  EXPECT_EQ(message.find(" at /"), std::string::npos) << message;
+  if (!root.empty()) {
+    EXPECT_EQ(message.find(root), std::string::npos) << message;
+  }
+  EXPECT_NE(message.find(" at src/"), std::string::npos) << message;
+}
+
 // ---- 3. negative paths ---------------------------------------------------
 
 std::vector<std::uint8_t> golden_bytes() {
