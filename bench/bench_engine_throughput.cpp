@@ -211,9 +211,11 @@ BENCHMARK(BM_FullFasterGathering)->Arg(8)->Arg(16)->Arg(32);
 void BM_SemiSynchronousClock(benchmark::State& state) {
   // The SSYNC path end to end: one Faster-Gathering run on ring n=12,
   // k=4 under semi-synchronous suppression at fairness 4. Robots sleep
-  // through most of the schedule, so the run is dominated by the lazy
-  // local-clock catch-up (Scheduler::count_activations) over the skipped
-  // global rounds; the counters say how much of that work a row did.
+  // through most of the schedule; the engine wakes them at exact
+  // activation rounds (Scheduler::nth_activation) and catches their
+  // clocks up with one Scheduler::count_activations per pop, both a
+  // popcount per 64-round block. The counters say how much work a row
+  // did: global rounds spanned, rounds simulated, decisions made.
   scenario::ScenarioSpec spec;
   spec.family = "ring";
   spec.n = 12;
@@ -235,6 +237,8 @@ void BM_SemiSynchronousClock(benchmark::State& state) {
   const double rounds = static_cast<double>(metrics.rounds) *
                         static_cast<double>(state.iterations());
   state.counters["global_rounds"] = static_cast<double>(metrics.rounds);
+  state.counters["simulated_rounds"] =
+      static_cast<double>(metrics.simulated_rounds);
   state.counters["decisions"] = static_cast<double>(metrics.decision_calls);
   state.counters["ns_per_global_round"] =
       rounds > 0 ? run_s * 1e9 / rounds : 0.0;

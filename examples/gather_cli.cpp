@@ -399,7 +399,8 @@ int run_single(const support::CliParser& cli, Service& service) {
             << "total moves:       " << out.result.metrics.total_moves << "\n"
             << "message bits:      " << out.result.metrics.total_message_bits
             << "\n"
-            << "resolved by stage: hop-" << out.gathered_stage_hop << "\n"
+            << "resolved by stage: "
+            << core::stage_label(out.gathered_stage_hop) << "\n"
             << "peak map bits:     " << out.peak_map_bits << "\n";
 
   if (cli.get_flag("timeline") && out.schedule.has_value()) {

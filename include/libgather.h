@@ -118,8 +118,12 @@ GATHER_API gather_status gather_service_clear_caches(gather_service* service);
 /* Run one scenario described by spec text; on OK, *out_json receives a
  * malloc'd JSON object (realized_n, min_pair_distance, gathered,
  * detection_correct, rounds, total_moves, message_bits, stage_hop,
- * peak_map_bits, trace_hash, cache_hit). Repeated specs are result
- * cache hits and skip the simulation ("cache_hit": true). */
+ * peak_map_bits, trace_hash, false_announcement, cache_hit).
+ * false_announcement is true when some robot announced termination
+ * while the robots (crashed and dormant ones included) were not all
+ * co-located — a wrong "gathered" claim, e.g. next to a crashed robot.
+ * Repeated specs are result cache hits and skip the simulation
+ * ("cache_hit": true). */
 GATHER_API gather_status gather_run_json(gather_service* service,
                                          const char* spec_text,
                                          char** out_json);

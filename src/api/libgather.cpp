@@ -130,6 +130,8 @@ std::string run_report_json(const gather::Service::RunReport& report) {
   os << report.outcome.peak_map_bits;
   json_field(os, first, "trace_hash");
   os << result.metrics.trace_hash;
+  json_field(os, first, "false_announcement");
+  os << (result.false_announcement ? "true" : "false");
   json_field(os, first, "cache_hit");
   os << (report.cache_hit ? "true" : "false");
   os << "}\n";

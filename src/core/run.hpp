@@ -92,4 +92,8 @@ struct RunOutcome {
 
 [[nodiscard]] std::string to_string(AlgorithmKind kind);
 
+/// "hop-<i>" for the stage hop that resolved a run, "none" when no stage
+/// did (RunOutcome::gathered_stage_hop == -1).
+[[nodiscard]] std::string stage_label(int gathered_stage_hop);
+
 }  // namespace gather::core

@@ -1,7 +1,6 @@
 #include "sim/engine.hpp"
 
 #include <algorithm>
-#include <type_traits>
 
 #include "sim/trace.hpp"
 #include "support/assert.hpp"
@@ -63,15 +62,14 @@ void Engine::add_robot(std::unique_ptr<Robot> robot, NodeId start) {
   crash_at_.push_back(crash);
   local_.push_back(0);
   synced_to_.push_back(release);
-  sleep_target_.push_back(kNoRound);
-  standing_follow_.push_back(0);
   occ_next_.push_back(kNoSlot);
   slots_by_id_.insert(it, slot);
 
   occupants_insert(start, slot);
-  // A delayed robot's first wake deadline is its release round; until
-  // then it is dormant (present, Init-tagged, never activated).
-  heap_push(release, slot);
+  // A robot's first wake is its first activation at or after its release
+  // round; until then it is dormant (present, Init-tagged, never
+  // activated).
+  heap_push(activation_wake(slot, release, 1), slot);
 }
 
 NodeId Engine::position_of(RobotId id) const { return pos_[slot_of(id)]; }
@@ -117,32 +115,14 @@ bool Engine::heap_pop_next(Round& round) {
   return false;
 }
 
-void Engine::sync_pending(Round r) {
-  // Lazy catch-up of the activation-count clocks: every adversary-activated
-  // round in a skipped stretch ticked the clock, acted on or not. One
-  // batched count brings every pending slot (not terminated, not crashed
-  // by r, clock behind r) up to r, so the scheduler can share per-round
-  // work across slots. activates() is pure, so a slot synced here before
-  // it next pops gets exactly the count the round-by-round increments of
-  // naive stepping would give it.
-  std::size_t n = 0;
-  const std::size_t num_slots = ids_.size();
-  for (std::uint32_t s = 0; s < num_slots; ++s) {
-    if (terminated_[s] != 0 || synced_to_[s] >= r) continue;
-    if (any_crash_ && r >= crash_at_[s]) continue;
-    sync_slots_[n] = s;
-    sync_ids_[n] = ids_[s];
-    sync_from_[n] = synced_to_[s];
-    sync_counts_[n] = local_[s];
-    ++n;
-  }
-  sched_->count_activations({sync_slots_.data(), n}, {sync_ids_.data(), n},
-                            {sync_from_.data(), n}, r,
-                            {sync_counts_.data(), n});
-  for (std::size_t i = 0; i < n; ++i) {
-    local_[sync_slots_[i]] = sync_counts_[i];
-    synced_to_[sync_slots_[i]] = r;
-  }
+Round Engine::activation_wake(std::uint32_t s, Round from, Round n) const {
+  // The n-th activation comes no earlier than from + n − 1, and exactly
+  // then when every round is one (non-suppressing schedulers). A wake past
+  // the hard cap is never popped, so it needs no exact round — which keeps
+  // a Stay toward kNoRound from scanning the schedule.
+  const Round earliest = support::sat_add(from, n - 1);
+  if (!suppressing_ || earliest > config_.hard_cap) return earliest;
+  return sched_->nth_activation(s, ids_[s], from, n);
 }
 
 bool Engine::resolve_carry(std::uint32_t s, Round r) {
@@ -152,9 +132,9 @@ bool Engine::resolve_carry(std::uint32_t s, Round r) {
   if (carry_stamp_[s] == r) return carry_has_[s] != 0;
   carry_stamp_[s] = r;
   carry_has_[s] = 0;
-  const RobotId leader_id = standing_follow_[s];
-  if (leader_id == 0) return false;
-  const std::uint32_t leader = find_slot(leader_id);
+  // The slot's most recent decision is its standing order.
+  if (decisions_[s].kind != ActionKind::Follow) return false;
+  const std::uint32_t leader = find_slot(decisions_[s].leader);
   if (leader == kNoSlot) return false;
   if (pos_[leader] != pos_[s]) return false;  // leader already departed
   if (terminated_[leader] != 0) return false;
@@ -182,7 +162,7 @@ void Engine::collect_carried(Round r) {
   for (std::uint32_t s = 0; s < num_slots; ++s) {
     if (decision_stamp_[s] == r || terminated_[s] != 0) continue;
     if (any_crash_ && r >= crash_at_[s]) continue;
-    if (standing_follow_[s] == 0) continue;
+    if (decisions_[s].kind != ActionKind::Follow) continue;
     if (resolve_carry(s, r)) carried_.push_back(s);
   }
 }
@@ -203,16 +183,12 @@ void Engine::move_slot(std::uint32_t s, graph::HalfEdge h, Round r,
 std::size_t Engine::apply_carried(Round r, RunResult& result) {
   // Same bookkeeping as an active move; hashed after the active set, in
   // slot order, so skip and naive stepping fingerprint identically. The
-  // forced move voids any sleep promise — the robot re-decides next round.
+  // forced move voids any sleep promise — the robot re-decides at its next
+  // activation.
   for (const std::uint32_t s : carried_) {
     move_slot(s, carry_edge_[s], r, result.metrics.trace_hash);
     if (rec_ != nullptr) rec_->record_carried(s, carry_edge_[s].to);
-    sleep_target_[s] = kNoRound;
-    if (!config_.naive_stepping) {
-      heap_push(r + 1, s);
-    } else {
-      wake_[s] = r + 1;
-    }
+    if (!config_.naive_stepping) heap_push(activation_wake(s, r + 1, 1), s);
   }
   return carried_.size();
 }
@@ -268,15 +244,10 @@ RunResult Engine::run() {
   resolved_stamp_.assign(num_slots, kNoRound);
   resolve_mark_.assign(num_slots, 0);
   if (suppressing_) {
-    decided_stay_local_.assign(num_slots, 0);
     carry_stamp_.assign(num_slots, kNoRound);
     carry_has_.assign(num_slots, 0);
     carry_edge_.assign(num_slots, graph::HalfEdge{});
     carried_.reserve(num_slots);
-    sync_slots_.assign(num_slots, 0);
-    sync_ids_.assign(num_slots, 0);
-    sync_from_.assign(num_slots, 0);
-    sync_counts_.assign(num_slots, 0);
   }
   view_arena_.resize(num_slots);
   views_.resize(num_slots);
@@ -340,7 +311,7 @@ RunResult Engine::run() {
     // ---- collect this round's active robots -----------------------------
     // The scheduler filters the candidates: crashed slots are dropped for
     // good, dormant slots defer to their release round, suppressed slots
-    // defer one round (pure predicates — see sim/scheduler.hpp — so skip
+    // sit the round out (pure predicates — see sim/scheduler.hpp — so skip
     // and naive stepping agree). All three gates are off (false) for the
     // synchronous model and cost nothing.
     active_.clear();
@@ -369,26 +340,17 @@ RunResult Engine::run() {
         if (filtered) {
           if (any_crash && r >= crash_at_[slot]) continue;  // crashed for good
           if (any_delay && r < release_[slot]) {
-            heap_push(release_[slot], slot);  // dormant: woken by arrivals
+            // Dormant: woken by arrivals.
+            heap_push(activation_wake(slot, release_[slot], 1), slot);
             continue;
           }
           if (suppressing) {
-            // Conservative wake, re-check on activation: catch the local
-            // clock up over the skipped stretch; if a sleep deadline is
-            // pending and local time still lags it (suppressed rounds
-            // did not tick), push the wake out by the remaining deficit.
-            if (synced_to_[slot] < r) sync_pending(r);
-            if (sleep_target_[slot] != kNoRound &&
-                local_[slot] < sleep_target_[slot]) {
-              heap_push(support::sat_add(r, sleep_target_[slot] - local_[slot]),
-                        slot);
-              continue;
-            }
-            if (!sched_->activates(r, slot, ids_[slot])) {
-              heap_push(r + 1, slot);  // suppressed: deferred one round
-              continue;
-            }
-            sleep_target_[slot] = kNoRound;  // promise consumed; re-deciding
+            // Every wake is pushed at one of the slot's activation rounds,
+            // so the popped slot is active; its local clock catches up over
+            // the rounds skipped since its anchor.
+            local_[slot] += sched_->count_activations(slot, ids_[slot],
+                                                      synced_to_[slot], r);
+            synced_to_[slot] = r;
           }
         }
         active_stamp_[slot] = r;
@@ -414,10 +376,10 @@ RunResult Engine::run() {
 
     // ---- post-round bookkeeping -----------------------------------------
     if (suppressing) {
-      // Every consulted slot experienced round r as one activation. In
-      // naive mode active_ is exactly the adversary-activated set, so the
-      // clocks stay exact; in skip mode the other slots catch up lazily
-      // through sync_pending at the next round where a popped slot lags.
+      // Every consulted slot experienced round r as one activation, which
+      // moves its clock anchor past r. In naive mode active_ is exactly the
+      // adversary-activated set, so the clocks stay exact; in skip mode a
+      // sleeping slot's clock catches up when it next pops.
       for (const std::uint32_t s : active_) {
         local_[s] += 1;
         synced_to_[s] = r + 1;
@@ -548,22 +510,13 @@ Action Engine::resolve_action(std::uint32_t s, Round r) {
   return out;
 }
 
-// One decision loop per clock mode. kClockDelayed (every non-suppressing
-// scheduler): local = r − τ, a bijection, so Stay deadlines translate
-// back exactly; the paper's synchronous model is τ = 0, where both
-// translations are identities. kClockLocal (any suppressing scheduler,
-// delays included): local is the maintained activation-count clock, Stay
-// deadlines translate to *conservative* global wakes (local advances at
-// most one per round) that the collection loop re-checks, and the
-// decision is recorded as the slot's standing order for the carry pass.
-template <int Mode>
+// One decision loop for every scheduler; only the robot's LOCAL time
+// differs. Non-suppressing schedulers: local = r − τ, a bijection (the
+// paper's synchronous model is τ = 0, an identity). Suppressing ones: the
+// activation-count clock maintained per slot.
 std::uint64_t Engine::decide_one(std::uint32_t s, Round r) {
   RoundView view;
-  if constexpr (Mode == kClockDelayed) {
-    view.round = r - release_[s];
-  } else {
-    view.round = local_[s];
-  }
+  view.round = suppressing_ ? local_[s] : r - release_[s];
   view.degree = degree_at(pos_[s]);
   view.entry_port = entry_port_[s];
   // Read-only lookup: the simulate_round pre-pass materialized every
@@ -577,27 +530,18 @@ std::uint64_t Engine::decide_one(std::uint32_t s, Round r) {
             support::bit_width_u64(other.group_id) + 3;
   }
   decisions_[s] = robots_[s]->on_round(view);
-  if constexpr (Mode == kClockDelayed) {
-    if (decisions_[s].kind == ActionKind::Stay) {
-      decisions_[s].stay_until =
-          support::sat_add(decisions_[s].stay_until, release_[s]);
-    }
-  } else {
-    standing_follow_[s] = decisions_[s].kind == ActionKind::Follow
-                              ? decisions_[s].leader
-                              : 0;
-    if (decisions_[s].kind == ActionKind::Stay) {
-      const Round until = decisions_[s].stay_until;
-      decided_stay_local_[s] = until;
-      decisions_[s].stay_until =
-          until > local_[s] ? support::sat_add(r, until - local_[s]) : r + 1;
-    }
+  if (decisions_[s].kind == ActionKind::Stay) {
+    // A deadline n local rounds ahead becomes global round r + n: exact
+    // when every later round is an activation, the earliest possible wake
+    // under suppression (the apply step finds the n-th activation).
+    const Round until = decisions_[s].stay_until;
+    decisions_[s].stay_until =
+        until > view.round ? support::sat_add(r, until - view.round) : r + 1;
   }
   decision_stamp_[s] = r;
   return bits;
 }
 
-template <int Mode>
 void Engine::decide_all(Round r, RunMetrics& m) {
   const std::size_t count = active_.size();
   // Parallel fan-out: each robot reads the immutable round views and
@@ -607,8 +551,7 @@ void Engine::decide_all(Round r, RunMetrics& m) {
   if (config_.decide_threads > 1 && count >= config_.decide_min_active) {
     support::parallel_for_index(count, config_.decide_threads,
                                 [this, r](std::size_t i) {
-                                  decide_bits_[i] =
-                                      decide_one<Mode>(active_[i], r);
+                                  decide_bits_[i] = decide_one(active_[i], r);
                                 });
     std::uint64_t bits = 0;
     for (std::size_t i = 0; i < count; ++i) bits += decide_bits_[i];
@@ -617,7 +560,7 @@ void Engine::decide_all(Round r, RunMetrics& m) {
     return;
   }
   for (const std::uint32_t s : active_) {
-    m.total_message_bits += decide_one<Mode>(s, r);
+    m.total_message_bits += decide_one(s, r);
     ++m.decision_calls;
   }
 }
@@ -635,14 +578,7 @@ std::size_t Engine::simulate_round(Round r, RunResult& result) {
   for (const std::uint32_t s : active_) (void)view_for(pos_[s], r);
 
   // ---- decisions --------------------------------------------------------
-  // Stamped out twice (template, one out-of-line instantiation per clock
-  // mode) so the non-suppressing path never runs the local-clock and
-  // standing-order bookkeeping.
-  if (suppressing) {
-    decide_all<kClockLocal>(r, m);
-  } else {
-    decide_all<kClockDelayed>(r, m);
-  }
+  decide_all(r, m);
 
   // ---- resolve follow chains ---------------------------------------------
   for (const std::uint32_t s : active_) (void)resolve_action(s, r);
@@ -659,11 +595,12 @@ std::size_t Engine::simulate_round(Round r, RunResult& result) {
 
   // Standing-follow carry scan (suppression only): a suppressed follower
   // cannot re-issue Follow in the round its leader moves; its most
-  // recent decision is a standing order that the leader's take-followers
-  // move executes. Scanned against pre-move positions — identical in
-  // skip and naive stepping. Under every non-suppressing scheduler an
-  // un-terminated follower is re-activated each round and handled by
-  // normal resolution, so this pass is unreachable there.
+  // recent decision (decisions_ keeps it) is a standing order that the
+  // leader's take-followers move executes. Scanned against pre-move
+  // positions — identical in skip and naive stepping. Under every
+  // non-suppressing scheduler an un-terminated follower is re-activated
+  // each round and handled by normal resolution, so this pass is
+  // unreachable there.
   if (suppressing) collect_carried(r);
 
   // ---- apply moves and terminations simultaneously ----------------------
@@ -681,45 +618,22 @@ std::size_t Engine::simulate_round(Round r, RunResult& result) {
         move_slot(s, h, r, m.trace_hash);
         ++movers;
         if (rec_ != nullptr) rec_->record_move(s, h.to);
-        if (!config_.naive_stepping) {
-          heap_push(r + 1, s);
-        } else if (suppressing) {
-          // Suppression makes the implicit-stay resolution path reachable
-          // in naive mode too (a follower may name a suppressed leader),
-          // so the wake deadline must stay maintained without the heap.
-          wake_[s] = r + 1;
-        }
+        if (!config_.naive_stepping) heap_push(activation_wake(s, r + 1, 1), s);
         break;
       }
       case ActionKind::Stay: {
-        if (suppressing) {
-          if (decisions_[s].kind == ActionKind::Stay) {
-            // The robot's OWN Stay carries a local deadline the wake
-            // machinery re-checks on pop (conservative wake).
-            sleep_target_[s] = decided_stay_local_[s];
-          } else {
-            // Follow-adopted stay. The leader's wake is a GLOBAL round;
-            // under suppression the follower's local clock drifts
-            // against it, so sleeping until then could consult the
-            // follower PAST a local deadline its program must observe
-            // exactly (naive stepping consults it every activated round
-            // and never skips one). Defer one round instead: the
-            // follower is re-consulted at every activated round while
-            // it keeps choosing Follow — matching naive consult rounds.
-            sleep_target_[s] = kNoRound;
-            if (!config_.naive_stepping) {
-              heap_push(r + 1, s);
-            } else {
-              wake_[s] = r + 1;
-            }
-            break;
-          }
-        }
-        if (!config_.naive_stepping) {
-          heap_push(std::max(action.stay_until, r + 1), s);
-        } else if (suppressing) {
-          wake_[s] = std::max(action.stay_until, r + 1);
-        }
+        // Naive stepping re-consults every robot anyway. Otherwise sleep
+        // until the n-th activation after r, where decide_one translated
+        // the deadline to global round r + n. Under suppression a
+        // Follow-adopted stay re-decides at the follower's next activation
+        // instead: the leader's deadline is a global round the follower's
+        // own clock drifts against, and naive stepping consults the
+        // follower at every activation while it keeps choosing Follow.
+        if (config_.naive_stepping) break;
+        const Round n = suppressing && decisions_[s].kind != ActionKind::Stay
+                            ? 1
+                            : std::max(action.stay_until, r + 1) - r;
+        heap_push(activation_wake(s, r + 1, n), s);
         break;
       }
       case ActionKind::Terminate: {
@@ -767,11 +681,11 @@ std::size_t Engine::simulate_round(Round r, RunResult& result) {
         // naive equivalence suite).
         if (any_crash_ && r + 1 >= crash_at_[occ]) continue;
         if (any_delay_ && release_[occ] > r + 1) continue;
-        // An occupancy change voids the Stay promise whether or not the
-        // heap entry moves: the occupant must be consulted, not re-slept
-        // by the deadline re-check.
-        if (suppressing) sleep_target_[occ] = kNoRound;
-        if (wake_[occ] > r + 1) heap_push(r + 1, occ);
+        // An occupancy change voids the Stay promise: the occupant
+        // re-decides at its next activation.
+        if (wake_[occ] <= r + 1) continue;
+        const Round next = activation_wake(occ, r + 1, 1);
+        if (wake_[occ] > next) heap_push(next, occ);
       }
     }
   }

@@ -32,15 +32,14 @@
 //    LOCAL time: the number of rounds the scheduler has activated it
 //    since its release. Stay{until} deadlines are local too. For
 //    non-suppressing schedulers local time is `global − release` and the
-//    translation is two adds; under suppression the engine keeps a
-//    per-slot clock that is advanced lazily: the first pop of a round
-//    that finds its slot behind makes one batched
-//    Scheduler::count_activations() call bringing every pending slot up
-//    to that round (the count of the pure activates() predicate over
-//    each slot's skipped stretch), and sleep deadlines become
-//    *conservative* global wakes (local time advances at most one per
-//    round) that are re-checked on wake and pushed out by the remaining
-//    deficit — so event-driven skipping stays exact under suppression.
+//    translation is two adds; under suppression every wake is pushed at
+//    the exact global round of an activation — a deadline n local rounds
+//    ahead at Scheduler::nth_activation(slot, id, r + 1, n), a forced
+//    wake (move, occupancy change, carry) at the next activation — so a
+//    popped robot is active by construction, and its per-slot clock
+//    anchor catches up with one Scheduler::count_activations() call over
+//    the rounds it slept through. Event-driven skipping stays exact under
+//    suppression without polling the predicate round by round.
 //    A robot whose most recent decision was Follow holds a *standing
 //    order*: if the scheduler suppresses it in a round its leader moves
 //    with take_followers, the engine carries it along (the F2F "come
@@ -193,14 +192,10 @@ class Engine {
 
   // ---- activation-count local clocks (maintained only when the
   // ---- scheduler suppresses; see the file comment) ----------------------
-  std::vector<Round> local_;      ///< activations experienced since release
-  std::vector<Round> synced_to_;  ///< global round local_ is counted up to
-  /// Pending Stay deadline in LOCAL time (kNoRound = none). Any forced
-  /// wake (occupancy change, carry) clears it so the robot re-decides.
-  std::vector<Round> sleep_target_;
-  /// Leader named by the slot's most recent decision if that decision
-  /// was Follow (0 = none) — the standing order the carry pass executes.
-  std::vector<RobotId> standing_follow_;
+  // One anchor per slot: local_ activations were experienced before
+  // global round synced_to_.
+  std::vector<Round> local_;
+  std::vector<Round> synced_to_;
 
   /// Slot indices sorted by label — the label→slot index (binary search;
   /// labels are sparse in [1, n^b], so no direct-indexed table).
@@ -242,16 +237,10 @@ class Engine {
   std::vector<std::uint64_t> decide_bits_;
 
   // ---- suppression-only scratch (sized in run(), unused otherwise) ------
-  std::vector<Round> decided_stay_local_;  ///< pre-translation Stay deadline
-  std::vector<std::uint32_t> carried_;     ///< slots carried this round
-  std::vector<Round> carry_stamp_;         ///< memo stamp for resolve_carry
+  std::vector<std::uint32_t> carried_;  ///< slots carried this round
+  std::vector<Round> carry_stamp_;      ///< memo stamp for resolve_carry
   std::vector<std::uint8_t> carry_has_;
   std::vector<graph::HalfEdge> carry_edge_;
-  /// The batch sync_pending hands to Scheduler::count_activations.
-  std::vector<std::uint32_t> sync_slots_;
-  std::vector<RobotId> sync_ids_;
-  std::vector<Round> sync_from_;
-  std::vector<Round> sync_counts_;
 
   [[nodiscard]] std::span<const RobotPublicState> view_for(NodeId node,
                                                            Round r);
@@ -262,20 +251,16 @@ class Engine {
                                                               Round r) const;
   Action resolve_action(std::uint32_t slot, Round r);
 
-  /// Robot-clock modes of the decision loop (see engine.cpp).
-  static constexpr int kClockDelayed = 0;
-  static constexpr int kClockLocal = 1;
-  template <int Mode>
   void decide_all(Round r, RunMetrics& m);
   /// One robot's decide step; returns the message bits it received (the
   /// caller owns the metric accumulation). Writes only slot-s state.
-  template <int Mode>
   std::uint64_t decide_one(std::uint32_t s, Round r);
 
-  /// Advance every pending slot's local clock over [synced_to_, r) with
-  /// one batched Scheduler::count_activations() call (suppressing
-  /// schedulers only; called at most once per round).
-  void sync_pending(Round r);
+  /// The global round of the slot's n-th (n >= 1) activation at or after
+  /// `from` — where every wake is pushed. Any round past the hard cap
+  /// stands for all of them.
+  [[nodiscard]] Round activation_wake(std::uint32_t slot, Round from,
+                                      Round n) const;
   /// Whether the inactive slot is carried by a take-followers move of
   /// its standing-follow chain this round; fills carry_edge_[slot].
   bool resolve_carry(std::uint32_t slot, Round r);

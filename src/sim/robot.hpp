@@ -65,9 +65,9 @@ struct RoundView {
 /// (see RoundView::round) and the robot promises — given the same
 /// co-located set — to keep returning Stay until its local clock reaches
 /// `until`. The engine exploits that promise to skip quiet rounds,
-/// translating local deadlines to conservative global wake rounds and
-/// re-checking on wake when a suppressing scheduler makes local time lag
-/// behind (sim/engine.hpp); `tests/engine_test.cpp` and
+/// translating each local deadline to the exact global round of the
+/// activation it falls on, also when a suppressing scheduler makes local
+/// time lag behind (sim/engine.hpp); `tests/engine_test.cpp` and
 /// `tests/scheduler_test.cpp` cross-check skip vs naive execution under
 /// every adversary.
 class Robot {

@@ -1,7 +1,7 @@
 #include "sim/scheduler.hpp"
 
 #include <algorithm>
-#include <array>
+#include <bit>
 
 #include "support/assert.hpp"
 #include "support/math.hpp"
@@ -28,15 +28,22 @@ Round Scheduler::crash_round(std::uint32_t, RobotId) const { return kNoRound; }
 
 bool Scheduler::activates(Round, std::uint32_t, RobotId) const { return true; }
 
-void Scheduler::count_activations(std::span<const std::uint32_t> slots,
-                                  std::span<const RobotId> ids,
-                                  std::span<const Round> from, Round to,
-                                  std::span<Round> counts) const {
-  for (std::size_t i = 0; i < slots.size(); ++i) {
-    for (Round g = from[i]; g < to; ++g) {
-      if (activates(g, slots[i], ids[i])) ++counts[i];
-    }
+Round Scheduler::count_activations(std::uint32_t slot, RobotId id, Round from,
+                                   Round to) const {
+  Round count = 0;
+  for (Round g = from; g < to; ++g) {
+    if (activates(g, slot, id)) ++count;
   }
+  return count;
+}
+
+Round Scheduler::nth_activation(std::uint32_t slot, RobotId id, Round from,
+                                Round n) const {
+  GATHER_EXPECTS(n >= 1);
+  for (Round g = from; g != kNoRound; ++g) {
+    if (activates(g, slot, id) && --n == 0) return g;
+  }
+  return kNoRound;
 }
 
 Round Scheduler::fairness_bound() const { return 0; }
@@ -82,89 +89,76 @@ SemiSynchronousScheduler::SemiSynchronousScheduler(std::uint64_t seed,
                                                    Round fairness)
     : seed_(seed), fairness_(fairness) {
   GATHER_EXPECTS(fairness >= 1);
+  for (Round j = 0; j < 64; j += fairness_) {
+    phase_bits_ |= std::uint64_t{1} << j;
+  }
+}
+
+Round SemiSynchronousScheduler::phase(std::uint32_t slot) const {
+  return draw(seed_, 0x5c, slot) % fairness_;
+}
+
+std::uint64_t SemiSynchronousScheduler::mask(std::uint32_t slot, Round phase,
+                                             Round block) const {
+  // A pseudorandom word per (slot, block), in its own tag domain, OR-ed
+  // with the phase rounds: shifting phase_bits_ to the block's first
+  // round g with g % fairness_ == phase sets every later one in the block
+  // (for fairness_ > 64 there is at most that one). block < 2^58, so
+  // 64 · block cannot wrap.
+  const Round start = block * 64 % fairness_;
+  const Round first =
+      phase >= start ? phase - start : phase + (fairness_ - start);
+  std::uint64_t bits =
+      draw(seed_, support::hash_combine(0xb1, block), slot);
+  if (first < 64) bits |= phase_bits_ << first;
+  return bits;
 }
 
 bool SemiSynchronousScheduler::activates(Round r, std::uint32_t slot,
                                          RobotId) const {
-  // Guaranteed phase round every `fairness_` rounds (the fairness bound),
-  // pseudorandom coin otherwise. Pure in (r, slot) by construction. The
-  // coin lives in its own tag domain — with a bare `draw(seed_, r, slot)`
-  // the round r == 0x5c coin would collide with the phase draw and
-  // correlate suppression with the phase assignment.
-  const Round phase = draw(seed_, 0x5c, slot) % fairness_;
-  if (r % fairness_ == phase) return true;
-  return (draw(seed_, support::hash_combine(0xa1, r), slot) & 1) != 0;
+  return ((mask(slot, phase(slot), r / 64) >> (r % 64)) & 1) != 0;
 }
 
-void SemiSynchronousScheduler::count_activations(
-    std::span<const std::uint32_t> slots, std::span<const RobotId>,
-    std::span<const Round> from, Round to, std::span<Round> counts) const {
-  // activates() summed over each slot's [from[i], to). The coin
-  // draw(seed_, hash_combine(0xa1, g), slot) is
-  // SplitMix64(hash_combine(prefix(g), slot)) with a slot-independent
-  // prefix(g) = hash_combine(seed_, hash_combine(0xa1, g)), so each block
-  // of rounds hashes its prefixes (and their residues g % fairness_) once
-  // for the whole batch, then runs one coin loop per slot over the
-  // block's rounds at or after that slot's from. Phases are drawn once
-  // per call, for up to kClockGroup slots at a time; a larger batch is
-  // counted group by group, re-hashing the prefixes per group.
-  constexpr std::size_t kClockBlock = 64;
-  constexpr std::size_t kClockGroup = 64;
-  // Left uninitialized: each entry is written before it is read, and a
-  // zero fill would cost more than a short catch-up's whole count.
-  std::array<Round, kClockGroup> phase;
-  std::array<std::uint64_t, kClockBlock> prefix;
-  std::array<Round, kClockBlock> residue_at;
-  for (std::size_t g0 = 0; g0 < slots.size(); g0 += kClockGroup) {
-    const std::size_t group = std::min(kClockGroup, slots.size() - g0);
-    Round lo = to;
-    for (std::size_t i = 0; i < group; ++i) {
-      phase[i] = draw(seed_, 0x5c, slots[g0 + i]) % fairness_;
-      lo = std::min(lo, from[g0 + i]);
-    }
-    if (lo >= to) continue;
-    // One residue for the whole group, advanced round by round instead of
-    // a per-round `g % fairness_`.
-    Round residue = lo % fairness_;
-    // The local-clock catch-up runs over every skipped round of every
-    // suppressed robot; gather_lint keeps it allocation-free.
-    // gather-lint: hot-path-begin(ssync-clock)
-    for (Round begin = lo; begin < to;) {
-      const std::size_t len = static_cast<std::size_t>(
-          std::min<Round>(kClockBlock, to - begin));
-      for (std::size_t j = 0; j < len; ++j) {
-        prefix[j] = support::hash_combine(
-            seed_, support::hash_combine(0xa1, begin + j));
-        residue_at[j] = residue;
-        if (++residue == fairness_) residue = 0;
-      }
-      for (std::size_t i = 0; i < group; ++i) {
-        const Round start = from[g0 + i];
-        if (start >= begin + len) continue;
-        const std::uint64_t slot = slots[g0 + i];
-        const Round slot_phase = phase[i];
-        Round count = 0;
-        // The coin is added, not branched on: a branch on a fair coin
-        // mispredicts every other round and serializes the hash chains.
-        // The phase test is periodic, so its branch predicts, and it
-        // saves the coin on every phase round.
-        for (std::size_t j = start > begin ? start - begin : 0; j < len; ++j) {
-          if (residue_at[j] == slot_phase) {
-            ++count;
-          } else {
-            count += support::SplitMix64(
-                         support::hash_combine(prefix[j], slot))
-                         .next() &
-                     1;
-          }
-        }
-        counts[g0 + i] += count;
-      }
-      begin += len;
-    }
-    // gather-lint: hot-path-end(ssync-clock)
+// The clock's closed forms run once per wake and per catch-up; gather_lint
+// keeps them allocation-free.
+// gather-lint: hot-path-begin(ssync-clock)
+Round SemiSynchronousScheduler::count_activations(std::uint32_t slot, RobotId,
+                                                  Round from, Round to) const {
+  if (from >= to) return 0;
+  const Round p = phase(slot);
+  const Round first = from / 64;
+  const Round last = (to - 1) / 64;
+  Round count = 0;
+  for (Round b = first; b <= last; ++b) {
+    std::uint64_t bits = mask(slot, p, b);
+    if (b == first) bits &= ~std::uint64_t{0} << (from % 64);
+    if (b == last) bits &= ~std::uint64_t{0} >> (63 - (to - 1) % 64);
+    count += static_cast<Round>(std::popcount(bits));
   }
+  return count;
 }
+
+Round SemiSynchronousScheduler::nth_activation(std::uint32_t slot, RobotId,
+                                               Round from, Round n) const {
+  GATHER_EXPECTS(n >= 1);
+  constexpr Round kLastBlock = kNoRound / 64;
+  const Round p = phase(slot);
+  Round b = from / 64;
+  std::uint64_t bits = mask(slot, p, b) & (~std::uint64_t{0} << (from % 64));
+  for (;;) {
+    const auto count = static_cast<Round>(std::popcount(bits));
+    if (count >= n) break;
+    n -= count;
+    if (b == kLastBlock) return kNoRound;
+    bits = mask(slot, p, ++b);
+  }
+  // Select: drop the n − 1 lowest set bits; the lowest one left is it.
+  // (Bit 63 of the last block is round kNoRound itself, which then reads
+  // as "no such round" — the base loop's answer too.)
+  for (; n > 1; --n) bits &= bits - 1;
+  return b * 64 + static_cast<Round>(std::countr_zero(bits));
+}
+// gather-lint: hot-path-end(ssync-clock)
 
 Round SemiSynchronousScheduler::extend_cap(Round cap) const {
   // Caps are robot-local budgets (activation counts). The fairness bound

@@ -41,16 +41,15 @@
 //    arguments and must not starve: every robot activates at least once
 //    in any window of fairness_bound() consecutive rounds. Every
 //    activated round — acted on or slept through — advances the robot's
-//    local clock by one, so the engine derives each robot's local time
-//    by counting this predicate over the global rounds since release
-//    (lazily, via the conservative-wake/re-check machinery in
-//    sim/engine.cpp). A catch-up is batched per round: the first pop at
-//    round r that finds its robot's clock behind makes one
-//    count_activations(slots, ids, from, r, counts) call that brings
-//    every pending robot up to r. Its default loops over activates() per
-//    slot, so a scheduler that overrides only the predicate stays exact;
-//    SemiSynchronousScheduler overrides both with the same bits and
-//    shares the slot-independent half of the coin across the batch.
+//    local clock by one. The engine never polls the predicate round by
+//    round outside naive stepping: it asks two closed-form questions
+//    instead, count_activations(slot, id, from, to) (how far a skipped
+//    robot's clock advanced) and nth_activation(slot, id, from, n) (the
+//    global round at which a robot's next decision falls due), and pushes
+//    every wake at an activation round. Their defaults loop over
+//    activates(), so a scheduler that overrides only the predicate stays
+//    exact; SemiSynchronousScheduler overrides both with a popcount per
+//    64-round block and a select inside the last word.
 //
 // The synchronous scheduler answers (0, never, always) — bit-identical
 // to an engine with no scheduler at all (pinned by
@@ -59,7 +58,6 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <string_view>
 #include <vector>
 
@@ -90,16 +88,21 @@ class Scheduler {
   [[nodiscard]] virtual bool activates(Round r, std::uint32_t slot,
                                        RobotId id) const;
 
-  /// The engine's local-clock catch-up, batched over the pending slots:
-  /// for every i, adds to counts[i] the number of rounds g in
-  /// [from[i], to) for which activates(g, slots[i], ids[i]) holds
-  /// (nothing when from[i] >= to). slots, ids, from and counts have one
-  /// entry per slot, in any order. The default loops over activates()
-  /// slot by slot; an override must add exactly those counts.
-  virtual void count_activations(std::span<const std::uint32_t> slots,
-                                 std::span<const RobotId> ids,
-                                 std::span<const Round> from, Round to,
-                                 std::span<Round> counts) const;
+  /// The number of rounds g in [from, to) for which activates(g, slot,
+  /// id) holds (0 when from >= to): the local-clock advance of a robot
+  /// the engine skipped over that stretch. The default loops over
+  /// activates(); an override must return exactly that count.
+  [[nodiscard]] virtual Round count_activations(std::uint32_t slot,
+                                                RobotId id, Round from,
+                                                Round to) const;
+
+  /// The global round of the n-th (n >= 1) round g >= from for which
+  /// activates(g, slot, id) holds, or kNoRound when it would not be a
+  /// representable round: the exact wake of a robot whose next decision
+  /// is due n activations after `from`. The default loops over
+  /// activates(); an override must return exactly that round.
+  [[nodiscard]] virtual Round nth_activation(std::uint32_t slot, RobotId id,
+                                             Round from, Round n) const;
 
   /// Suppression window: a pending robot is activated at least once every
   /// this-many rounds. 0 = this scheduler never suppresses (the engine
@@ -163,11 +166,15 @@ class AdversarialDelayScheduler final : public Scheduler {
   Round max_delay_ = 0;
 };
 
-/// Semi-synchronous activation (the SSYNC flavour): each round the
-/// adversary activates a deterministic pseudorandom subset of the pending
-/// robots; every robot has a guaranteed phase round every `fairness`
-/// rounds, so no robot is suppressed for `fairness` or more consecutive
-/// rounds. fairness = 1 degenerates to the synchronous scheduler.
+/// Semi-synchronous activation (the SSYNC flavour): the adversary
+/// activates a deterministic pseudorandom subset of the pending robots
+/// each round, drawn per aligned block of 64 rounds. Robot `slot` is
+/// active in round g iff bit g % 64 of mask(slot, g / 64) is set, where
+/// the mask ORs one 64-bit hash per (slot, block) with the robot's phase
+/// rounds — every round g with g % fairness == phase(slot) — so no robot
+/// is suppressed for `fairness` or more consecutive rounds. fairness = 1
+/// degenerates to the synchronous scheduler. DESIGN.md §3.8 records this
+/// definition.
 class SemiSynchronousScheduler final : public Scheduler {
  public:
   SemiSynchronousScheduler(std::uint64_t seed, Round fairness);
@@ -177,20 +184,30 @@ class SemiSynchronousScheduler final : public Scheduler {
   }
   [[nodiscard]] bool activates(Round r, std::uint32_t slot,
                                RobotId id) const override;
-  /// Same bits as the activates() loop, in blocks of 64 rounds: the
-  /// slot-independent half of each round's coin is hashed once per block
-  /// for the whole batch, each slot's phase drawn once per call.
-  void count_activations(std::span<const std::uint32_t> slots,
-                         std::span<const RobotId> ids,
-                         std::span<const Round> from, Round to,
-                         std::span<Round> counts) const override;
+  /// One popcount per 64-round block of [from, to).
+  [[nodiscard]] Round count_activations(std::uint32_t slot, RobotId id,
+                                        Round from, Round to) const override;
+  /// One popcount per block up to the n-th activation, then a select
+  /// inside that block's word.
+  [[nodiscard]] Round nth_activation(std::uint32_t slot, RobotId id,
+                                     Round from, Round n) const override;
   [[nodiscard]] Round fairness_bound() const override { return fairness_; }
   [[nodiscard]] Round extend_cap(Round cap) const override;
   [[nodiscard]] bool adversarial() const override { return fairness_ > 1; }
 
  private:
+  /// The robot's phase: its guaranteed activation residue mod fairness_.
+  [[nodiscard]] Round phase(std::uint32_t slot) const;
+  /// Activation bits of rounds [64·block, 64·block + 64) for the robot in
+  /// `slot` with phase `phase` — the one definition of the schedule.
+  [[nodiscard]] std::uint64_t mask(std::uint32_t slot, Round phase,
+                                   Round block) const;
+
   std::uint64_t seed_ = 0;
   Round fairness_ = 1;
+  /// Bits 0, f, 2f, ... below 64 (f = fairness_; just bit 0 for f > 64):
+  /// the phase rounds of a block whose first phase round is its bit 0.
+  std::uint64_t phase_bits_ = 0;
 };
 
 /// Crash faults: `crashes` of the k robots halt permanently at

@@ -175,9 +175,10 @@ TEST(CAbiTest, SweepCsvMatchesGoldenPolicyBytes) {
   //    all three arms: 32 points, 24 after the k in [2, n] filter, 22
   //    rows after one infeasible skip per seed (hypercube n=10 realizes
   //    8 < k=9), and 9 rows recorded with violation=1.
-  //  * golden_ssync_grid.csv — the semi-synchronous activation clock:
-  //    all 16 acceptance-grid families at fairness 3, 32 rows (2 with
-  //    violation=1), runs of up to 506027 rounds of local-clock catch-up.
+  //  * golden_ssync_grid.csv — the semi-synchronous block-mask schedule
+  //    and its exact wakes: all 16 acceptance-grid families at fairness
+  //    3, 32 rows (2 with violation=1: complete and random, seed 1), runs
+  //    of up to 506398 rounds.
   struct Golden {
     const char* file;
     const char* grid;
@@ -246,6 +247,40 @@ TEST(CAbiTest, RepeatedRunsHitTheServiceResultCache) {
   EXPECT_EQ(stats.result_hits, 0u);
   EXPECT_EQ(stats.result_entries, 0u);
   EXPECT_EQ(stats.graph_entries, 0u);
+}
+
+TEST(CAbiTest, RunJsonReportsFalseAnnouncement) {
+  // ring/12/4 at seed 1 under crash-fault: the survivors announce
+  // termination while a crashed robot sits elsewhere (`gather_cli
+  // --replay` of the run's trace prints "false announce: true"). The
+  // JSON says so on the cold run and on the cache hit, just before
+  // cache_hit; the clean synchronous instance says false.
+  ServiceHandle service;
+  const char* crash_spec =
+      "family=ring\n"
+      "n=12\n"
+      "k=4\n"
+      "scheduler=crash-fault\n"
+      "seed=1\n";
+  for (int pass = 0; pass < 2; ++pass) {
+    char* json = nullptr;
+    ASSERT_EQ(gather_run_json(service.ptr, crash_spec, &json),
+              GATHER_STATUS_OK)
+        << gather_last_error();
+    const std::string report(json);
+    gather_free(json);
+    EXPECT_NE(report.find("\"false_announcement\": true, \"cache_hit\""),
+              std::string::npos)
+        << report;
+  }
+  char* json = nullptr;
+  ASSERT_EQ(gather_run_json(service.ptr, kRunSpecText, &json),
+            GATHER_STATUS_OK)
+      << gather_last_error();
+  const std::string clean(json);
+  gather_free(json);
+  EXPECT_NE(clean.find("\"false_announcement\": false"), std::string::npos)
+      << clean;
 }
 
 TEST(CAbiTest, ReplayOfGoldenTraceReportsCleanRun) {

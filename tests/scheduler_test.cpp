@@ -396,46 +396,82 @@ TEST(SemiSynchronous, FairnessBoundsConsecutiveSuppression) {
   // leaves one trace event per activation: consecutive global gaps must
   // never exceed the fairness window, while the local clock it observes
   // must advance by exactly one per activation (the coherent timeline).
-  const sim::Round fairness = 4;
+  // Windows below, at and past the 64-round block of the schedule.
   const graph::Graph g = graph::make_ring(6);
-  std::vector<sim::Round> seen_local;
-  auto walker = [&seen_local](ScriptedRobot&, const sim::RoundView& view) {
-    seen_local.push_back(view.round);
-    if (view.round >= 200) return sim::Action::terminate();
-    return sim::Action::move(0);
-  };
-  sim::TraceRecorder recorder;
-  sim::EngineConfig cfg;
-  cfg.hard_cap = 2000;
-  cfg.trace_recorder = &recorder;
-  cfg.scheduler = std::make_shared<sim::SemiSynchronousScheduler>(5, fairness);
-  sim::Engine engine(g, cfg);
-  engine.add_robot(std::make_unique<ScriptedRobot>(1, walker), 0);
-  const sim::RunResult result = engine.run();
-  EXPECT_TRUE(result.all_terminated);
-  // Coherent local timeline: view.round is exactly the activation count.
-  ASSERT_GE(seen_local.size(), 2u);
-  for (std::size_t i = 0; i < seen_local.size(); ++i) {
-    EXPECT_EQ(seen_local[i], i) << "local clock skipped or repeated";
+  for (const sim::Round fairness : {1u, 2u, 3u, 4u, 7u, 64u, 65u, 100u}) {
+    SCOPED_TRACE("fairness " + std::to_string(fairness));
+    std::vector<sim::Round> seen_local;
+    auto walker = [&seen_local](ScriptedRobot&, const sim::RoundView& view) {
+      seen_local.push_back(view.round);
+      if (view.round >= 200) return sim::Action::terminate();
+      return sim::Action::move(0);
+    };
+    sim::TraceRecorder recorder;
+    sim::EngineConfig cfg;
+    cfg.hard_cap = 2000;
+    cfg.trace_recorder = &recorder;
+    cfg.scheduler =
+        std::make_shared<sim::SemiSynchronousScheduler>(5, fairness);
+    sim::Engine engine(g, cfg);
+    engine.add_robot(std::make_unique<ScriptedRobot>(1, walker), 0);
+    const sim::RunResult result = engine.run();
+    EXPECT_TRUE(result.all_terminated);
+    // Coherent local timeline: view.round is exactly the activation count.
+    ASSERT_GE(seen_local.size(), 2u);
+    for (std::size_t i = 0; i < seen_local.size(); ++i) {
+      EXPECT_EQ(seen_local[i], i) << "local clock skipped or repeated";
+    }
+    // Global fairness: the adversary suppressed, but never for a whole
+    // fairness window.
+    std::vector<sim::Round> move_rounds;
+    for (const sim::TraceRound& round :
+         sim::decode_trace(recorder.bytes()).rounds) {
+      if (!round.moves.empty()) move_rounds.push_back(round.round);
+    }
+    ASSERT_GE(move_rounds.size(), 2u);
+    EXPECT_LT(move_rounds.front(), fairness);
+    bool suppressed_at_least_once = move_rounds.front() > 0;
+    for (std::size_t i = 1; i < move_rounds.size(); ++i) {
+      const sim::Round gap = move_rounds[i] - move_rounds[i - 1];
+      EXPECT_LE(gap, fairness) << "gap at activation " << i;
+      suppressed_at_least_once |= gap > 1;
+    }
+    if (fairness == 1) {
+      // Nothing to suppress: every round is an activation.
+      EXPECT_FALSE(suppressed_at_least_once);
+      EXPECT_EQ(result.metrics.rounds, 200u);
+      continue;
+    }
+    EXPECT_TRUE(suppressed_at_least_once)
+        << "adversary never suppressed anything — not semi-synchronous";
+    // The round counter is global: the run must span more rounds than the
+    // robot experienced activations.
+    EXPECT_GT(result.metrics.rounds, 200u);
   }
-  // Global fairness: the adversary suppressed, but never for a whole
-  // fairness window.
-  std::vector<sim::Round> move_rounds;
-  for (const sim::TraceRound& round : sim::decode_trace(recorder.bytes()).rounds) {
-    if (!round.moves.empty()) move_rounds.push_back(round.round);
+}
+
+TEST(SemiSynchronous, StayPastHardCapEndsAtCapInBoundedTime) {
+  // A Stay whose deadline lies past the hard cap ends the run at the cap.
+  // Its n-th activation lies at or after r + n, past the cap, so the wake
+  // saturates there: the clock never scans the schedule toward 2^64.
+  const graph::Graph g = graph::make_ring(4);
+  for (const sim::Round until :
+       {sim::Round{1500}, sim::kNoRound - 1, sim::kNoRound}) {
+    auto sleeper = [until](ScriptedRobot&, const sim::RoundView&) {
+      return sim::Action::stay_until_round(until);
+    };
+    sim::EngineConfig cfg;
+    cfg.hard_cap = 1000;
+    cfg.scheduler = std::make_shared<sim::SemiSynchronousScheduler>(5, 7);
+    sim::Engine engine(g, cfg);
+    engine.add_robot(std::make_unique<ScriptedRobot>(1, sleeper), 0);
+    engine.add_robot(std::make_unique<ScriptedRobot>(2, sleeper), 2);
+    const sim::RunResult result = engine.run();
+    EXPECT_TRUE(result.hit_round_cap) << until;
+    EXPECT_FALSE(result.all_terminated) << until;
+    // Each robot decided once, at its first activation.
+    EXPECT_EQ(result.metrics.decision_calls, 2u) << until;
   }
-  ASSERT_GE(move_rounds.size(), 2u);
-  bool suppressed_at_least_once = move_rounds.front() > 0;
-  for (std::size_t i = 1; i < move_rounds.size(); ++i) {
-    const sim::Round gap = move_rounds[i] - move_rounds[i - 1];
-    EXPECT_LE(gap, fairness) << "gap at activation " << i;
-    suppressed_at_least_once |= gap > 1;
-  }
-  EXPECT_TRUE(suppressed_at_least_once)
-      << "adversary never suppressed anything — not semi-synchronous";
-  // The round counter is global: the run must span more rounds than the
-  // robot experienced activations.
-  EXPECT_GT(result.metrics.rounds, 200u);
 }
 
 TEST(SemiSynchronous, FairnessOneIsSynchronous) {
@@ -452,10 +488,10 @@ TEST(SemiSynchronous, FairnessOneIsSynchronous) {
 // ---- the SSYNC referee suite: activation-count local clocks ---------------
 
 /// A suppressing-class scheduler that never actually suppresses: the
-/// engine runs the full local-clock machinery (lazy activation counting,
-/// conservative wake translation) but every round is activated, so local
-/// time must coincide with global time and the whole run must be
-/// bit-identical to the synchronous scheduler.
+/// engine runs the full local-clock machinery (activation counts and
+/// exact wakes, through the base-class loops over activates()) but every
+/// round is activated, so local time must coincide with global time and
+/// the whole run must be bit-identical to the synchronous scheduler.
 class AlwaysActivateScheduler final : public sim::Scheduler {
  public:
   [[nodiscard]] std::string_view name() const override {
@@ -484,7 +520,7 @@ core::RunOutcome run_paper_algorithm(
 TEST(SemiSynchronous, AlwaysActivateIsTraceIdenticalToSynchronous) {
   // The tentpole's translation referee: with activates() ≡ true the
   // local-clock machinery (RoundView::round from activation counts, Stay
-  // deadlines translated through conservative wakes) must reproduce the
+  // deadlines translated to nth_activation wakes) must reproduce the
   // synchronous run of the full paper algorithm bit for bit.
   const graph::Graph g = graph::make_torus(3, 4);
   const auto nodes = graph::nodes_undispersed_random(g, 4, 5);
@@ -501,10 +537,10 @@ TEST(SemiSynchronous, AlwaysActivateIsTraceIdenticalToSynchronous) {
 }
 
 TEST(SemiSynchronous, SkipAndNaiveAgreeOnPaperAlgorithmUnderSuppression) {
-  // Event-driven skipping under real suppression: the conservative-wake/
-  // re-check machinery and the standing-follow carry pass must leave the
-  // full Faster-Gathering run trace-identical to naive stepping, which
-  // polls every activated robot every round.
+  // Event-driven skipping under real suppression: the exact activation
+  // wakes and the standing-follow carry pass must leave the full
+  // Faster-Gathering run trace-identical to naive stepping, which polls
+  // activates() and every activated robot every round.
   const graph::Graph g = graph::make_torus(3, 4);
   const auto nodes = graph::nodes_undispersed_random(g, 4, 5);
   const auto placement =
@@ -583,74 +619,56 @@ TEST(SemiSynchronous, CapLimitedRunCannotFalselyReportNonTermination) {
   }
 }
 
-/// Runs one batch through the SSYNC override and through the base-class
-/// per-slot loop over activates() (called non-virtually), both adding to
-/// the same nonzero starting counts, and expects identical results.
-void expect_batch_matches_predicate(const sim::SemiSynchronousScheduler& sched,
-                                    const std::vector<std::uint32_t>& slots,
-                                    const std::vector<sim::Round>& from,
-                                    sim::Round to, const std::string& what) {
-  std::vector<sim::RobotId> ids;
-  for (const std::uint32_t slot : slots) ids.push_back(slot + 7);
-  std::vector<sim::Round> batched(slots.size(), 3);
-  std::vector<sim::Round> reference(slots.size(), 3);
-  sched.count_activations(slots, ids, from, to, batched);
-  sched.sim::Scheduler::count_activations(slots, ids, from, to, reference);
-  for (std::size_t i = 0; i < slots.size(); ++i) {
-    EXPECT_EQ(batched[i], reference[i])
-        << what << " slot " << slots[i] << " range [" << from[i] << ", "
-        << to << ")";
-  }
-}
-
 TEST(SemiSynchronous, CountActivationsMatchesPerRoundPredicate) {
-  // The engine advances every lagging local clock with one batched
-  // count_activations() call per round; the SSYNC override (prefixes
-  // shared per 64-round block, one coin loop per slot) must add exactly
-  // the base-class per-slot loop over activates(). The batches mix
-  // `from` values inside and across blocks, at and past `to`, with
-  // starts far beyond any round a run reaches.
+  // The engine advances a skipped robot's local clock with one
+  // count_activations() call and pushes its wake at nth_activation(); the
+  // SSYNC overrides (a popcount per 64-round block, a select inside the
+  // last word) must answer exactly what the base-class loops over
+  // activates() answer (called non-virtually — the referee). Starts sit
+  // on and inside blocks, far beyond any round a run reaches, and in the
+  // last representable block.
   constexpr sim::Round kFar = sim::Round{1} << 40;
-  const std::vector<std::uint32_t> slots = {0, 1, 5, 1000, 2, 3, 4, 9, 77};
-  for (const sim::Round fairness : {1u, 2u, 3u, 4u, 7u, 64u, 65u}) {
+  constexpr sim::Round kHuge = (sim::Round{1} << 62) + 5;
+  for (const sim::Round fairness : {1u, 2u, 3u, 4u, 7u, 64u, 65u, 100u}) {
     for (const std::uint64_t seed : {1ull, 17ull, 0x9e3779b97f4a7c15ull}) {
       const sim::SemiSynchronousScheduler sched(seed, fairness);
-      const std::string tag =
-          "fairness " + std::to_string(fairness) + " seed " +
-          std::to_string(seed);
-      for (const sim::Round start :
-           {sim::Round{0}, sim::Round{1}, fairness - 1, 3 * fairness + 1,
-            kFar, kFar + fairness - 1, (sim::Round{1} << 62) + 5}) {
-        for (const sim::Round len :
-             {sim::Round{0}, sim::Round{1}, sim::Round{2}, sim::Round{63},
-              sim::Round{64}, sim::Round{65}, sim::Round{130}, fairness + 1,
-              sim::Round{200}}) {
-          const sim::Round to = start + len;
-          // One slot per offset: block-aligned and mid-block starts, a
-          // start at `to` and one past it (both count nothing).
-          const std::vector<sim::Round> offsets = {0,  1,   37,      63, 64,
-                                                   65, 129, len, len + 5};
-          std::vector<sim::Round> from;
-          for (const sim::Round offset : offsets) from.push_back(start + offset);
-          expect_batch_matches_predicate(sched, slots, from, to, tag);
-          // The same batch in reverse order: results follow the slot, not
-          // its position in the batch.
-          std::vector<std::uint32_t> rslots(slots.rbegin(), slots.rend());
-          std::vector<sim::Round> rfrom(from.rbegin(), from.rend());
-          expect_batch_matches_predicate(sched, rslots, rfrom, to, tag);
+      const std::string tag = "fairness " + std::to_string(fairness) +
+                              " seed " + std::to_string(seed);
+      for (const std::uint32_t slot : {0u, 1u, 5u, 1000u}) {
+        const sim::RobotId id = slot + 7;
+        for (const sim::Round start :
+             {sim::Round{0}, sim::Round{37}, 3 * fairness + 1, kFar,
+              kFar + 37, kHuge}) {
+          for (const sim::Round len :
+               {sim::Round{0}, sim::Round{1}, sim::Round{2}, sim::Round{63},
+                sim::Round{64}, sim::Round{65}, sim::Round{130},
+                fairness + 1, sim::Round{200}}) {
+            EXPECT_EQ(sched.count_activations(slot, id, start, start + len),
+                      sched.sim::Scheduler::count_activations(slot, id, start,
+                                                              start + len))
+                << tag << " slot " << slot << " [" << start << ", +" << len
+                << ")";
+          }
+          // from >= to counts nothing.
+          EXPECT_EQ(sched.count_activations(slot, id, start + 5, start), 0u)
+              << tag;
+          for (const sim::Round n : {1u, 2u, 63u, 64u, 65u, 1000u}) {
+            const sim::Round got = sched.nth_activation(slot, id, start, n);
+            EXPECT_EQ(got,
+                      sched.sim::Scheduler::nth_activation(slot, id, start, n))
+                << tag << " slot " << slot << " from " << start << " n " << n;
+            EXPECT_GE(got, start + n - 1) << tag;
+          }
+        }
+        // The last representable block: past round kNoRound - 1 there is
+        // no n-th activation.
+        for (const sim::Round n : {1u, 2u, 63u, 64u, 65u, 1000u}) {
+          EXPECT_EQ(sched.nth_activation(slot, id, sim::kNoRound - 100, n),
+                    sched.sim::Scheduler::nth_activation(
+                        slot, id, sim::kNoRound - 100, n))
+              << tag << " slot " << slot << " n " << n;
         }
       }
-      // An empty batch is a no-op.
-      expect_batch_matches_predicate(sched, {}, {}, kFar, tag);
-      // More slots than one phase group: no fixed slot limit may drop or
-      // misplace any of them.
-      std::vector<std::uint32_t> many;
-      std::vector<sim::Round> many_from;
-      for (std::uint32_t i = 0; i < 130; ++i) {
-        many.push_back(i);
-        many_from.push_back(kFar + (i * 7) % 150);
-      }
-      expect_batch_matches_predicate(sched, many, many_from, kFar + 140, tag);
     }
   }
 }

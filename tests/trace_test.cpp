@@ -4,9 +4,11 @@
 //  1. Golden binary traces committed under tests/data/ — one synchronous
 //     run (the star instance whose trace hash was captured from the seed
 //     engine at commit dbf0492) and one semi-synchronous fairness=3 run.
-//     decode→re-encode must be byte-identical, and replay must reproduce
-//     the pinned trace hash and RunResult without touching the
-//     simulator.
+//     decode→re-encode must be byte-identical, replay must reproduce the
+//     pinned trace hash and RunResult without touching the simulator,
+//     and re-recording each golden's spec must reproduce its bytes (the
+//     replay alone is self-contained, so only this catches a stale
+//     golden after a simulator change).
 //  2. A record→decode→replay round-trip over every registered graph
 //     family × every registered scheduler: the replayed RunResult
 //     (trace hash, metrics, detection/false-announcement flags) must
@@ -21,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "api/spec_text.hpp"
 #include "core/run.hpp"
 #include "scenario/scenario.hpp"
 #include "sim/trace.hpp"
@@ -41,6 +44,9 @@ std::string data_path(const std::string& name) {
 
 struct GoldenPin {
   const char* file;
+  /// The run the file was recorded from, as `gather_cli --record` would
+  /// run it (spec text, api/spec_text.hpp).
+  const char* spec;
   std::size_t num_nodes;
   std::size_t robots;
   std::uint64_t trace_hash;
@@ -53,12 +59,14 @@ struct GoldenPin {
 // Values captured when the traces were recorded; the sync star hash is
 // the dbf0492-era pin also asserted in scheduler_test.cpp.
 const GoldenPin kGolden[] = {
-    // star n=9 k=3 one-node/undispersed seed=11, synchronous
-    {"golden_sync_star.trace", 9, 3, 0x995d072cdd647e10ULL, 3122, 107, 136,
-     true},
-    // ring n=4 k=2 undispersed/uxs seed=3, semi-synchronous fairness=3
-    {"golden_ssync_ring.trace", 4, 2, 0xdbefd565d03ee97cULL, 3785, 2899, 512,
-     true},
+    {"golden_sync_star.trace",
+     "family=star\nn=9\nk=3\nplacement=one-node\nalgorithm=undispersed\n"
+     "seed=11\n",
+     9, 3, 0x995d072cdd647e10ULL, 3122, 107, 136, true},
+    {"golden_ssync_ring.trace",
+     "family=ring\nn=4\nk=2\nplacement=undispersed\nalgorithm=uxs\n"
+     "seed=3\nscheduler=semi-synchronous\nscheduler_params=fairness=3\n",
+     4, 2, 0xd59110a016cad627ULL, 3887, 2946, 512, true},
 };
 
 TEST(GoldenTrace, DecodeReencodeIsByteIdentical) {
@@ -90,6 +98,21 @@ TEST(GoldenTrace, ReplayReproducesPinnedRun) {
     for (const NodeId pos : replay.final_positions) {
       EXPECT_EQ(pos, replay.final_positions.front()) << pin.file;
     }
+  }
+}
+
+TEST(GoldenTrace, CommittedGoldensMatchFreshRecordings) {
+  for (const GoldenPin& pin : kGolden) {
+    const scenario::ResolvedScenario resolved =
+        scenario::resolve(api::parse_run_spec(pin.spec));
+    TraceRecorder recorder;
+    core::RunSpec run_spec = resolved.run_spec;
+    run_spec.trace_recorder = &recorder;
+    (void)core::run_gathering(*resolved.graph, resolved.placement, run_spec);
+    EXPECT_TRUE(recorder.bytes() ==
+                read_trace_file(data_path(pin.file)))
+        << pin.file << " is stale: re-record it with gather_cli --record "
+                       "and update its kGolden row";
   }
 }
 
