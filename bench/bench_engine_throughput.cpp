@@ -211,11 +211,13 @@ BENCHMARK(BM_FullFasterGathering)->Arg(8)->Arg(16)->Arg(32);
 void BM_SemiSynchronousClock(benchmark::State& state) {
   // The SSYNC path end to end: one Faster-Gathering run on ring n=12,
   // k=4 under semi-synchronous suppression at fairness 4. Robots sleep
-  // through most of the schedule; the engine wakes them at exact
-  // activation rounds (Scheduler::nth_activation) and catches their
-  // clocks up with one Scheduler::count_activations per pop, both a
-  // popcount per 64-round block. The counters say how much work a row
-  // did: global rounds spanned, rounds simulated, decisions made.
+  // through most of the schedule, a follower together with its leader
+  // on a Follow promise; the engine wakes each robot only at the exact
+  // activation round of its next decision (Scheduler::nth_activation)
+  // and catches its clock up with one Scheduler::count_activations per
+  // pop, both a popcount per 64-round block. The counters say how much
+  // work a row did: global rounds spanned, rounds simulated, decisions
+  // made.
   scenario::ScenarioSpec spec;
   spec.family = "ring";
   spec.n = 12;

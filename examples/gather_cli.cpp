@@ -395,6 +395,7 @@ int run_single(const support::CliParser& cli, Service& service) {
             << "gathered:          " << std::boolalpha
             << out.result.gathered_at_end << "\n"
             << "detection correct: " << out.result.detection_correct << "\n"
+            << "false announce:    " << out.result.false_announcement << "\n"
             << "rounds:            " << out.result.metrics.rounds << "\n"
             << "total moves:       " << out.result.metrics.total_moves << "\n"
             << "message bits:      " << out.result.metrics.total_message_bits

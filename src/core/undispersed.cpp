@@ -168,9 +168,11 @@ BehaviorResult UndispersedBehavior::helper_step(const RoundView& view) {
   if (r < phase2_) {
     // ---- Phase 1: act as the finder's movable token ----------------------
     // Mirror the finder whenever it is co-located; its take_followers flag
-    // decides whether the token moves or is left behind.
+    // decides whether the token moves or is left behind. Only the finder's
+    // departure can end this choice before phase 2, so it is promised
+    // until then.
     if (is_colocated(view, group_id_)) {
-      return result(Action::follow(group_id_));
+      return result(Action::follow(group_id_, phase2_));
     }
     return result(Action::stay_until_round(phase2_));
   }
@@ -203,8 +205,10 @@ BehaviorResult UndispersedBehavior::helper_step(const RoundView& view) {
       return result(Action::stay_until_round(end_));
     }
     // Keep mirroring the robot we were captured by (it may itself have
-    // parked, in which case we park with it).
-    return result(Action::follow(followed_));
+    // parked, in which case we park with it). Only an arrival, the
+    // captor's departure or its termination changes this choice before
+    // end_, so the follow is promised until then.
+    return result(Action::follow(followed_, end_));
   }
   return result(Action::stay_until_round(end_));
 }

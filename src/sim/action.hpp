@@ -11,7 +11,12 @@
 //
 // `Follow{leader}` models the face-to-face message "I am moving through
 // port p, come along" from a co-located leader: the follower's action
-// resolves to the leader's action in the same round. A Move with
+// resolves to the leader's action in the same round. `Follow{leader,
+// until}` adds a promise of the same kind as Stay's: given the same
+// co-located set, the robot keeps choosing Follow(leader) up to (but not
+// including) its local round `until` (0 = no promise). Under a
+// suppressing scheduler the engine then lets the follower sleep with its
+// leader instead of re-consulting it at every activation. A Move with
 // take_followers == false is how a finder *leaves its token behind*
 // during map construction (§2.2 Phase 1).
 #pragma once
@@ -26,7 +31,7 @@ enum class ActionKind : std::uint8_t { Stay, Move, Follow, Terminate };
 
 struct Action {
   ActionKind kind = ActionKind::Stay;
-  Round stay_until = 0;        ///< Stay: wake deadline (robot-local round)
+  Round stay_until = 0;        ///< Stay/Follow: promise deadline (robot-local round)
   Port port = kNoPort;         ///< Move: exit port
   bool take_followers = true;  ///< Move: do co-located followers come along?
   RobotId leader = 0;          ///< Follow: co-located robot to mirror
@@ -51,10 +56,11 @@ struct Action {
     return a;
   }
 
-  [[nodiscard]] static Action follow(RobotId leader) {
+  [[nodiscard]] static Action follow(RobotId leader, Round until = 0) {
     Action a;
     a.kind = ActionKind::Follow;
     a.leader = leader;
+    a.stay_until = until;
     return a;
   }
 

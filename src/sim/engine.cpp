@@ -125,6 +125,37 @@ Round Engine::activation_wake(std::uint32_t s, Round from, Round n) const {
   return sched_->nth_activation(s, ids_[s], from, n);
 }
 
+// Suppression-only helpers are kept out of line (noinline) so they do
+// not grow the synchronous path's hot bodies they are called from.
+[[gnu::noinline]] Round Engine::follow_wake(std::uint32_t s, Round r) const {
+  // The follower's promise ends n activations after r (n = 1: none).
+  const Round n = std::max(decisions_[s].stay_until, r + 1) - r;
+  if (n == 1) return activation_wake(s, r + 1, 1);
+  // Resolution validated the leader. A crashed leader, or one leaving
+  // without its followers (the arrival/departure wakes the follower
+  // anyway), keeps the follower on the next-activation rule.
+  const std::uint32_t leader = find_slot(decisions_[s].leader);
+  if (any_crash_ && r >= crash_at_[leader]) return activation_wake(s, r + 1, 1);
+  if (resolved_[leader].kind != ActionKind::Stay) {
+    return activation_wake(s, r + 1, 1);
+  }
+  // The leader's state changes only when it acts, at wake_[leader] or
+  // later; an occupancy change at the shared node wakes both. A leader
+  // still to be handled in this round's apply loop holds wake_ == r, and
+  // the bound r + 1 is early (always safe: naive stepping re-decides at
+  // every activation), never late.
+  const Round lead = activation_wake(s, std::max(wake_[leader], r + 1), 1);
+  // The own-promise wake is the n-th activation after r; look it up only
+  // when it falls before `lead` — the scan costs one block per 64 rounds.
+  // Rounds past the hard cap are never popped, which bounds the count.
+  const Round bound = std::min(lead, support::sat_add(config_.hard_cap, 1));
+  if (support::sat_add(r, n) < bound &&
+      sched_->count_activations(s, ids_[s], r + 1, bound) >= n) {
+    return activation_wake(s, r + 1, n);
+  }
+  return lead;
+}
+
 bool Engine::resolve_carry(std::uint32_t s, Round r) {
   // The memo stamp doubles as the in-progress mark: a standing-follow
   // cycle re-enters a stamped slot whose carry_has_ is still 0 and
@@ -244,6 +275,7 @@ RunResult Engine::run() {
   resolved_stamp_.assign(num_slots, kNoRound);
   resolve_mark_.assign(num_slots, 0);
   if (suppressing_) {
+    state_stamp_.assign(num_slots, kNoRound);
     carry_stamp_.assign(num_slots, kNoRound);
     carry_has_.assign(num_slots, 0);
     carry_edge_.assign(num_slots, graph::HalfEdge{});
@@ -530,16 +562,36 @@ std::uint64_t Engine::decide_one(std::uint32_t s, Round r) {
             support::bit_width_u64(other.group_id) + 3;
   }
   decisions_[s] = robots_[s]->on_round(view);
-  if (decisions_[s].kind == ActionKind::Stay) {
+  if (suppressing_) note_broadcast(s, view.colocated, r);
+  const ActionKind kind = decisions_[s].kind;
+  if (kind == ActionKind::Stay ||
+      (kind == ActionKind::Follow && suppressing_)) {
     // A deadline n local rounds ahead becomes global round r + n: exact
     // when every later round is an activation, the earliest possible wake
-    // under suppression (the apply step finds the n-th activation).
+    // under suppression (the apply step finds the n-th activation). A
+    // Follow promise is read only under suppression (follow_wake).
     const Round until = decisions_[s].stay_until;
     decisions_[s].stay_until =
         until > view.round ? support::sat_add(r, until - view.round) : r + 1;
   }
   decision_stamp_[s] = r;
   return bits;
+}
+
+[[gnu::noinline]] void Engine::note_broadcast(std::uint32_t s,
+                            std::span<const RobotPublicState> before,
+                            Round r) {
+  // A changed broadcast (role or group id) changes every co-located view
+  // from the next round on; the apply step wakes those robots. The view
+  // still holds the robot's own pre-decision state.
+  const RobotPublicState& now = robots_[s]->public_state();
+  for (const RobotPublicState& old : before) {
+    if (old.id != now.id) continue;
+    if (old.tag != now.tag || old.group_id != now.group_id) {
+      state_stamp_[s] = r;
+    }
+    return;
+  }
 }
 
 void Engine::decide_all(Round r, RunMetrics& m) {
@@ -609,6 +661,13 @@ std::size_t Engine::simulate_round(Round r, RunResult& result) {
   touched_nodes_.clear();
   for (const std::uint32_t s : active_) {
     const Action action = resolved_[s];
+    // Under suppression co-located clocks drift apart, so a robot may
+    // change its broadcast while its neighbours sleep on a promise made
+    // against the old one: treat the change like an occupancy change.
+    if (suppressing && (state_stamp_[s] == r ||
+                        action.kind == ActionKind::Terminate)) {
+      touched_nodes_.push_back(pos_[s]);
+    }
     switch (action.kind) {
       case ActionKind::Move: {
         // A robot handing back an out-of-range port broke its own
@@ -625,14 +684,15 @@ std::size_t Engine::simulate_round(Round r, RunResult& result) {
         // Naive stepping re-consults every robot anyway. Otherwise sleep
         // until the n-th activation after r, where decide_one translated
         // the deadline to global round r + n. Under suppression a
-        // Follow-adopted stay re-decides at the follower's next activation
-        // instead: the leader's deadline is a global round the follower's
-        // own clock drifts against, and naive stepping consults the
-        // follower at every activation while it keeps choosing Follow.
+        // Follow-adopted stay sleeps with its leader instead (follow_wake):
+        // the leader's deadline is a global round the follower's own clock
+        // drifts against.
         if (config_.naive_stepping) break;
-        const Round n = suppressing && decisions_[s].kind != ActionKind::Stay
-                            ? 1
-                            : std::max(action.stay_until, r + 1) - r;
+        if (suppressing && decisions_[s].kind != ActionKind::Stay) {
+          heap_push(follow_wake(s, r), s);
+          break;
+        }
+        const Round n = std::max(action.stay_until, r + 1) - r;
         heap_push(activation_wake(s, r + 1, n), s);
         break;
       }

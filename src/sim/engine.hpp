@@ -38,7 +38,15 @@
 //    wake (move, occupancy change, carry) at the next activation — so a
 //    popped robot is active by construction, and its per-slot clock
 //    anchor catches up with one Scheduler::count_activations() call over
-//    the rounds it slept through. Event-driven skipping stays exact under
+//    the rounds it slept through. A follower whose Follow resolves to its
+//    leader's Stay sleeps with that leader: it wakes at its first
+//    activation at or after the leader's wake, or at the activation where
+//    its own Follow{leader, until} promise expires, whichever is first
+//    (the next activation without a promise or with a crashed leader).
+//    Because drifting clocks let a robot change its broadcast (role,
+//    group id, termination) while a co-located robot sleeps on a promise
+//    made against the old one, such a change wakes the node's occupants
+//    like an occupancy change. Event-driven skipping stays exact under
 //    suppression without polling the predicate round by round.
 //    A robot whose most recent decision was Follow holds a *standing
 //    order*: if the scheduler suppresses it in a round its leader moves
@@ -237,6 +245,7 @@ class Engine {
   std::vector<std::uint64_t> decide_bits_;
 
   // ---- suppression-only scratch (sized in run(), unused otherwise) ------
+  std::vector<Round> state_stamp_;      ///< round of the last broadcast change
   std::vector<std::uint32_t> carried_;  ///< slots carried this round
   std::vector<Round> carry_stamp_;      ///< memo stamp for resolve_carry
   std::vector<std::uint8_t> carry_has_;
@@ -255,12 +264,22 @@ class Engine {
   /// One robot's decide step; returns the message bits it received (the
   /// caller owns the metric accumulation). Writes only slot-s state.
   std::uint64_t decide_one(std::uint32_t s, Round r);
+  /// Suppression only: stamp slot s when its decision changed the public
+  /// state it showed in `before` (its node's view of round r).
+  void note_broadcast(std::uint32_t s, std::span<const RobotPublicState> before,
+                      Round r);
 
   /// The global round of the slot's n-th (n >= 1) activation at or after
   /// `from` — where every wake is pushed. Any round past the hard cap
   /// stands for all of them.
   [[nodiscard]] Round activation_wake(std::uint32_t slot, Round from,
                                       Round n) const;
+  /// Suppression only: the wake of a follower whose Follow resolved to
+  /// its leader's Stay — its first activation at or after the leader's
+  /// wake, or the activation at which its own Follow promise expires,
+  /// whichever is earlier (the next activation when there is no promise
+  /// or the leader crashed).
+  [[nodiscard]] Round follow_wake(std::uint32_t slot, Round r) const;
   /// Whether the inactive slot is carried by a take-followers move of
   /// its standing-follow chain this round; fills carry_edge_[slot].
   bool resolve_carry(std::uint32_t slot, Round r);

@@ -69,7 +69,14 @@ struct RoundView {
 /// activation it falls on, also when a suppressing scheduler makes local
 /// time lag behind (sim/engine.hpp); `tests/engine_test.cpp` and
 /// `tests/scheduler_test.cpp` cross-check skip vs naive execution under
-/// every adversary.
+/// every adversary. A Follow{leader, until} promise reads the same way:
+/// given the same co-located set, the robot keeps returning
+/// Follow(leader) until its local clock reaches `until` (0: no promise).
+/// Under suppression the engine re-consults such a follower at its first
+/// activation at or after its leader's wake, or when the promise expires,
+/// whichever comes first. Under suppression a changed broadcast (role,
+/// group id, termination) wakes the co-located robots like an arrival
+/// does, so both promises may rest on the co-located public states.
 class Robot {
  public:
   explicit Robot(RobotId id) { public_state_.id = id; }

@@ -177,8 +177,8 @@ TEST(CAbiTest, SweepCsvMatchesGoldenPolicyBytes) {
   //    8 < k=9), and 9 rows recorded with violation=1.
   //  * golden_ssync_grid.csv — the semi-synchronous block-mask schedule
   //    and its exact wakes: all 16 acceptance-grid families at fairness
-  //    3, 32 rows (2 with violation=1: complete and random, seed 1), runs
-  //    of up to 506398 rounds.
+  //    3, 32 rows, none with violation=1 (every row matches naive
+  //    stepping), runs of up to 506398 rounds.
   struct Golden {
     const char* file;
     const char* grid;

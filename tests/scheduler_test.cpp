@@ -517,6 +517,143 @@ core::RunOutcome run_paper_algorithm(
   return core::run_gathering(g, placement, spec);
 }
 
+// Hand-picked suppression for the Follow-promise boundary tests: slot 0
+// (the leader) is activated every round, every other slot on even rounds
+// only; `leader_crash` crashes slot 0 for good from that round on.
+class EvenRoundsScheduler final : public sim::Scheduler {
+ public:
+  explicit EvenRoundsScheduler(sim::Round leader_crash = sim::kNoRound)
+      : leader_crash_(leader_crash) {}
+  [[nodiscard]] std::string_view name() const override {
+    return "even-rounds";
+  }
+  [[nodiscard]] bool activates(sim::Round r, std::uint32_t slot,
+                               sim::RobotId) const override {
+    return slot == 0 || r % 2 == 0;
+  }
+  [[nodiscard]] sim::Round crash_round(std::uint32_t slot,
+                                       sim::RobotId) const override {
+    return slot == 0 ? leader_crash_ : sim::kNoRound;
+  }
+  [[nodiscard]] sim::Round fairness_bound() const override { return 2; }
+
+ private:
+  sim::Round leader_crash_;
+};
+
+struct FollowRun {
+  sim::RunResult result;
+  std::vector<sim::Round> follower_locals;  ///< view.round per consultation
+  std::vector<sim::Round> terminated_at;    ///< global round, per slot
+};
+
+// Leader (slot 0, label 2) and follower (slot 1, label 1) share node 0 of
+// a ring; both scripts run under EvenRoundsScheduler.
+FollowRun run_follow_pair(ScriptedRobot::Script leader,
+                          ScriptedRobot::Script follower,
+                          sim::Round leader_crash, bool naive = false) {
+  FollowRun out;
+  auto recording = [&out, follower](ScriptedRobot& self,
+                                    const sim::RoundView& view) {
+    out.follower_locals.push_back(view.round);
+    return follower(self, view);
+  };
+  sim::TraceRecorder recorder;
+  sim::EngineConfig cfg;
+  cfg.hard_cap = 1000;
+  cfg.naive_stepping = naive;
+  cfg.trace_recorder = &recorder;
+  cfg.scheduler = std::make_shared<EvenRoundsScheduler>(leader_crash);
+  const graph::Graph g = graph::make_ring(4);
+  sim::Engine engine(g, cfg);
+  engine.add_robot(std::make_unique<ScriptedRobot>(2, std::move(leader)), 0);
+  engine.add_robot(std::make_unique<ScriptedRobot>(1, recording), 0);
+  out.result = engine.run();
+  out.terminated_at.assign(2, sim::kNoRound);
+  for (const sim::TraceRound& round :
+       sim::decode_trace(recorder.bytes()).rounds) {
+    for (const std::uint32_t s : round.terminations) {
+      out.terminated_at[s] = round.round;
+    }
+  }
+  return out;
+}
+
+ScriptedRobot::Script stay_then_terminate(sim::Round at) {
+  return [at](ScriptedRobot&, const sim::RoundView& view) {
+    if (view.round >= at) return sim::Action::terminate();
+    return sim::Action::stay_until_round(at);
+  };
+}
+
+ScriptedRobot::Script follow_leader(sim::Round until, sim::Round stop) {
+  return [until, stop](ScriptedRobot&, const sim::RoundView& view) {
+    if (view.round >= stop) return sim::Action::terminate();
+    return sim::Action::follow(2, until);
+  };
+}
+
+TEST(FollowPromise, ExpiringPromiseIsConsultedAtItsOwnActivation) {
+  // The leader sleeps to round 100; the follower promised Follow up to
+  // local round 3, its activation at global round 6 (rounds 0, 2, 4 are
+  // locals 0, 1, 2) — consulted there, not at every activation and not
+  // at the leader's wake.
+  const FollowRun run = run_follow_pair(stay_then_terminate(100),
+                                        follow_leader(3, 3), sim::kNoRound);
+  EXPECT_EQ(run.follower_locals, (std::vector<sim::Round>{0, 3}));
+  EXPECT_EQ(run.terminated_at[1], 6u);
+  EXPECT_EQ(run.terminated_at[0], 100u);
+  const FollowRun naive = run_follow_pair(
+      stay_then_terminate(100), follow_leader(3, 3), sim::kNoRound, true);
+  EXPECT_EQ(run.result.metrics.trace_hash, naive.result.metrics.trace_hash);
+}
+
+TEST(FollowPromise, FollowerWakesWithItsLeaderAndTerminatesWithIt) {
+  // The leader wakes at round 8 and terminates; the follower's promise
+  // reaches far past that, so it re-decides at its first activation at or
+  // after the leader's wake (round 8, local 4) and its Follow resolves to
+  // the leader's Terminate.
+  const FollowRun run = run_follow_pair(stay_then_terminate(8),
+                                        follow_leader(100, 100), sim::kNoRound);
+  EXPECT_EQ(run.follower_locals, (std::vector<sim::Round>{0, 4}));
+  EXPECT_EQ(run.terminated_at, (std::vector<sim::Round>{8, 8}));
+  EXPECT_TRUE(run.result.all_terminated);
+  const FollowRun naive = run_follow_pair(
+      stay_then_terminate(8), follow_leader(100, 100), sim::kNoRound, true);
+  EXPECT_EQ(run.result.metrics.trace_hash, naive.result.metrics.trace_hash);
+  EXPECT_EQ(naive.terminated_at, run.terminated_at);
+}
+
+TEST(FollowPromise, PromiseSavesDecisionsAgainstThePlainFollow) {
+  // Same run without a promise (until = 0): the follower re-decides at
+  // every activation, rounds 0, 2, 4, 6, 8 — today's next-activation rule.
+  const FollowRun plain = run_follow_pair(stay_then_terminate(8),
+                                          follow_leader(0, 100), sim::kNoRound);
+  EXPECT_EQ(plain.follower_locals, (std::vector<sim::Round>{0, 1, 2, 3, 4}));
+  EXPECT_EQ(plain.terminated_at, (std::vector<sim::Round>{8, 8}));
+  const FollowRun promised = run_follow_pair(
+      stay_then_terminate(8), follow_leader(100, 100), sim::kNoRound);
+  EXPECT_EQ(plain.result.metrics.trace_hash,
+            promised.result.metrics.trace_hash);
+  EXPECT_EQ(plain.result.metrics.decision_calls, 7u);
+  EXPECT_EQ(promised.result.metrics.decision_calls, 4u);
+}
+
+TEST(FollowPromise, CrashedLeaderFallsBackToEveryActivation) {
+  // The leader crashes at round 1 while asleep to round 100. The follower
+  // slept with it to round 100 (local 50); from then on its Follow meets
+  // a crashed leader and it re-decides at every activation.
+  const FollowRun run =
+      run_follow_pair(stay_then_terminate(100), follow_leader(100, 53), 1);
+  EXPECT_EQ(run.follower_locals,
+            (std::vector<sim::Round>{0, 50, 51, 52, 53}));
+  EXPECT_EQ(run.terminated_at[1], 106u);
+  EXPECT_EQ(run.terminated_at[0], sim::kNoRound);
+  const FollowRun naive = run_follow_pair(
+      stay_then_terminate(100), follow_leader(100, 53), 1, true);
+  EXPECT_EQ(run.result.metrics.trace_hash, naive.result.metrics.trace_hash);
+}
+
 TEST(SemiSynchronous, AlwaysActivateIsTraceIdenticalToSynchronous) {
   // The tentpole's translation referee: with activates() ≡ true the
   // local-clock machinery (RoundView::round from activation counts, Stay
@@ -536,29 +673,62 @@ TEST(SemiSynchronous, AlwaysActivateIsTraceIdenticalToSynchronous) {
   EXPECT_TRUE(ssync.result.detection_correct);
 }
 
+// What a referee compares of one recorded run: the replayed outcome,
+// with the violation (message and round) of a run that threw.
+sim::ReplayResult record_and_replay(const scenario::ResolvedScenario& resolved,
+                                    bool naive) {
+  core::RunSpec spec = resolved.run_spec;
+  sim::TraceRecorder recorder;
+  spec.naive_engine = naive;
+  spec.trace_recorder = &recorder;
+  try {
+    (void)core::run_gathering(*resolved.graph, resolved.placement, spec);
+  } catch (const ProtocolViolation&) {
+    // run_gathering recorded the violation as the trace's terminal record.
+  }
+  return sim::replay_trace(sim::decode_trace(recorder.bytes()));
+}
+
 TEST(SemiSynchronous, SkipAndNaiveAgreeOnPaperAlgorithmUnderSuppression) {
   // Event-driven skipping under real suppression: the exact activation
-  // wakes and the standing-follow carry pass must leave the full
-  // Faster-Gathering run trace-identical to naive stepping, which polls
-  // activates() and every activated robot every round.
-  const graph::Graph g = graph::make_torus(3, 4);
-  const auto nodes = graph::nodes_undispersed_random(g, 4, 5);
-  const auto placement =
-      graph::make_placement(nodes, graph::labels_sequential(4));
-  for (const sim::Round fairness : {2ull, 3ull, 5ull}) {
-    const auto sched =
-        std::make_shared<sim::SemiSynchronousScheduler>(17, fairness);
-    const core::RunOutcome skip =
-        run_paper_algorithm(g, placement, sched, fairness);
-    const core::RunOutcome naive =
-        run_paper_algorithm(g, placement, sched, fairness, /*naive=*/true);
-    EXPECT_EQ(skip.result.metrics.trace_hash, naive.result.metrics.trace_hash)
-        << "fairness " << fairness;
-    EXPECT_EQ(skip.result.metrics.rounds, naive.result.metrics.rounds)
-        << "fairness " << fairness;
-    EXPECT_TRUE(skip.result.gathered_at_end) << "fairness " << fairness;
-    EXPECT_TRUE(skip.result.all_terminated) << "fairness " << fairness;
-    EXPECT_FALSE(skip.result.false_announcement) << "fairness " << fairness;
+  // wakes, the standing-follow carry pass and followers sleeping with
+  // their leader on a Follow promise must leave the full Faster-Gathering
+  // run identical to naive stepping, which polls activates() and every
+  // activated robot every round. Undispersed starts exercise the helper
+  // (token) follows, adversarial ones the phase-2 captures.
+  scenario::ScenarioSpec spec;
+  spec.n = 6;
+  spec.k = 3;
+  spec.scheduler = "semi-synchronous";
+  spec.seed = 3;
+  for (const char* family :
+       {"ring", "star", "complete", "wheel", "tree", "bipartite"}) {
+    for (const char* placement : {"undispersed", "adversarial"}) {
+      for (const char* fairness : {"2", "3", "5"}) {
+        spec.family = family;
+        spec.placement = placement;
+        spec.scheduler_params = {};
+        spec.scheduler_params.set("fairness", fairness);
+        SCOPED_TRACE(std::string(family) + "/" + placement + "/fairness " +
+                     fairness);
+        const scenario::ResolvedScenario resolved = scenario::resolve(spec);
+        const sim::ReplayResult skip = record_and_replay(resolved, false);
+        const sim::ReplayResult naive = record_and_replay(resolved, true);
+        EXPECT_EQ(skip.result.metrics.trace_hash,
+                  naive.result.metrics.trace_hash);
+        EXPECT_EQ(skip.result.metrics.rounds, naive.result.metrics.rounds);
+        EXPECT_EQ(skip.final_positions, naive.final_positions);
+        EXPECT_EQ(skip.result.all_terminated, naive.result.all_terminated);
+        EXPECT_EQ(skip.result.false_announcement,
+                  naive.result.false_announcement);
+        EXPECT_EQ(skip.violation, naive.violation);
+        EXPECT_EQ(skip.violation_round, naive.violation_round);
+        EXPECT_EQ(skip.violation_message, naive.violation_message);
+        // Skipping may only save consultations, never add rounds.
+        EXPECT_LE(skip.result.metrics.simulated_rounds,
+                  naive.result.metrics.simulated_rounds);
+      }
+    }
   }
 }
 
