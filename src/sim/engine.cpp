@@ -135,8 +135,8 @@ Round Engine::activation_wake(std::uint32_t s, Round from, Round n) const {
   // without its followers (the arrival/departure wakes the follower
   // anyway), keeps the follower on the next-activation rule.
   const std::uint32_t leader = find_slot(decisions_[s].leader);
-  if (any_crash_ && r >= crash_at_[leader]) return activation_wake(s, r + 1, 1);
-  if (resolved_[leader].kind != ActionKind::Stay) {
+  if ((any_crash_ && r >= crash_at_[leader]) ||
+      resolved_[leader].kind != ActionKind::Stay) {
     return activation_wake(s, r + 1, 1);
   }
   // The leader's state changes only when it acts, at wake_[leader] or
