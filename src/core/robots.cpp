@@ -11,17 +11,10 @@ FasterGatheringRobot::FasterGatheringRobot(RobotId id, AlgorithmConfig config)
     : sim::Robot(id), config_(std::move(config)),
       sched_(Schedule::make(config_)) {}
 
-Action FasterGatheringRobot::apply(const BehaviorResult& r,
-                                   Round detect_round) {
+Action FasterGatheringRobot::apply(const BehaviorResult& r) {
   set_tag(r.tag);
   set_group_id(r.group_id);
-  Action action = r.action;
-  // A follow promise never reaches past the stage's Lemma 11 detection
-  // round, where the robot must be consulted whatever it follows.
-  if (action.kind == sim::ActionKind::Follow) {
-    action.stay_until = std::min(action.stay_until, detect_round);
-  }
-  return action;
+  return r.action;
 }
 
 void FasterGatheringRobot::note_map_memory() {
@@ -68,7 +61,7 @@ Action FasterGatheringRobot::on_round(const RoundView& view) {
       if (!ug_.has_value()) {
         ug_.emplace(id(), config_.n, stage.start, config_.fairness);
       }
-      return apply(ug_->step(view), detect_round);
+      return apply(ug_->step(view));
     }
 
     case StageKind::HopThenUndispersed: {
@@ -86,7 +79,7 @@ Action FasterGatheringRobot::on_round(const RoundView& view) {
       if (!ug_.has_value()) {
         ug_.emplace(id(), config_.n, ug_start, config_.fairness);
       }
-      return apply(ug_->step(view), detect_round);
+      return apply(ug_->step(view));
     }
 
     case StageKind::UxsGathering: {

@@ -43,9 +43,7 @@ class FasterGatheringRobot final : public sim::Robot {
   std::optional<UxsGatheringBehavior> uxs_;
   std::uint64_t peak_map_bits_ = 0;
 
-  /// Publishes the behavior's state; clamps a Follow promise to
-  /// `detect_round` (the default leaves it as it is).
-  Action apply(const BehaviorResult& r, Round detect_round = sim::kNoRound);
+  Action apply(const BehaviorResult& r);
   Action detection(const RoundView& view, Round next_stage_start);
   void note_map_memory();
 };

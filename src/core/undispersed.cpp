@@ -207,7 +207,8 @@ BehaviorResult UndispersedBehavior::helper_step(const RoundView& view) {
     // Keep mirroring the robot we were captured by (it may itself have
     // parked, in which case we park with it). Only an arrival, the
     // captor's departure or its termination changes this choice before
-    // end_, so the follow is promised until then.
+    // end_, so the follow is promised until then. end_ is the enclosing
+    // stage's detection round, so no promise reaches past it.
     return result(Action::follow(followed_, end_));
   }
   return result(Action::stay_until_round(end_));

@@ -125,8 +125,8 @@ Round Engine::activation_wake(std::uint32_t s, Round from, Round n) const {
   return sched_->nth_activation(s, ids_[s], from, n);
 }
 
-// Suppression-only helpers are kept out of line (noinline) so they do
-// not grow the synchronous path's hot bodies they are called from.
+// Suppression only; kept out of line (noinline) so it does not grow the
+// synchronous path's hot apply loop it is called from.
 [[gnu::noinline]] Round Engine::follow_wake(std::uint32_t s, Round r) const {
   // The follower's promise ends n activations after r (n = 1: none).
   const Round n = std::max(decisions_[s].stay_until, r + 1) - r;
@@ -561,8 +561,19 @@ std::uint64_t Engine::decide_one(std::uint32_t s, Round r) {
     bits += support::bit_width_u64(other.id) +
             support::bit_width_u64(other.group_id) + 3;
   }
+  // Under suppression a changed broadcast (role or group id) changes
+  // every co-located view from the next round on; the apply step wakes
+  // those robots. Before on_round, the robot shows what its node's view
+  // of round r holds.
+  RobotPublicState before;
+  if (suppressing_) before = robots_[s]->public_state();
   decisions_[s] = robots_[s]->on_round(view);
-  if (suppressing_) note_broadcast(s, view.colocated, r);
+  if (suppressing_) {
+    const RobotPublicState& now = robots_[s]->public_state();
+    if (now.tag != before.tag || now.group_id != before.group_id) {
+      state_stamp_[s] = r;
+    }
+  }
   const ActionKind kind = decisions_[s].kind;
   if (kind == ActionKind::Stay ||
       (kind == ActionKind::Follow && suppressing_)) {
@@ -576,22 +587,6 @@ std::uint64_t Engine::decide_one(std::uint32_t s, Round r) {
   }
   decision_stamp_[s] = r;
   return bits;
-}
-
-[[gnu::noinline]] void Engine::note_broadcast(std::uint32_t s,
-                            std::span<const RobotPublicState> before,
-                            Round r) {
-  // A changed broadcast (role or group id) changes every co-located view
-  // from the next round on; the apply step wakes those robots. The view
-  // still holds the robot's own pre-decision state.
-  const RobotPublicState& now = robots_[s]->public_state();
-  for (const RobotPublicState& old : before) {
-    if (old.id != now.id) continue;
-    if (old.tag != now.tag || old.group_id != now.group_id) {
-      state_stamp_[s] = r;
-    }
-    return;
-  }
 }
 
 void Engine::decide_all(Round r, RunMetrics& m) {

@@ -264,10 +264,6 @@ class Engine {
   /// One robot's decide step; returns the message bits it received (the
   /// caller owns the metric accumulation). Writes only slot-s state.
   std::uint64_t decide_one(std::uint32_t s, Round r);
-  /// Suppression only: stamp slot s when its decision changed the public
-  /// state it showed in `before` (its node's view of round r).
-  void note_broadcast(std::uint32_t s, std::span<const RobotPublicState> before,
-                      Round r);
 
   /// The global round of the slot's n-th (n >= 1) activation at or after
   /// `from` — where every wake is pushed. Any round past the hard cap

@@ -622,21 +622,16 @@ TEST(FollowPromise, FollowerWakesWithItsLeaderAndTerminatesWithIt) {
       stay_then_terminate(8), follow_leader(100, 100), sim::kNoRound, true);
   EXPECT_EQ(run.result.metrics.trace_hash, naive.result.metrics.trace_hash);
   EXPECT_EQ(naive.terminated_at, run.terminated_at);
-}
-
-TEST(FollowPromise, PromiseSavesDecisionsAgainstThePlainFollow) {
-  // Same run without a promise (until = 0): the follower re-decides at
-  // every activation, rounds 0, 2, 4, 6, 8 — today's next-activation rule.
+  // Without a promise (until = 0) the follower re-decides at every
+  // activation, rounds 0, 2, 4, 6, 8 — the next-activation rule — for the
+  // same trace and three more decisions.
   const FollowRun plain = run_follow_pair(stay_then_terminate(8),
                                           follow_leader(0, 100), sim::kNoRound);
   EXPECT_EQ(plain.follower_locals, (std::vector<sim::Round>{0, 1, 2, 3, 4}));
-  EXPECT_EQ(plain.terminated_at, (std::vector<sim::Round>{8, 8}));
-  const FollowRun promised = run_follow_pair(
-      stay_then_terminate(8), follow_leader(100, 100), sim::kNoRound);
-  EXPECT_EQ(plain.result.metrics.trace_hash,
-            promised.result.metrics.trace_hash);
+  EXPECT_EQ(plain.terminated_at, run.terminated_at);
+  EXPECT_EQ(plain.result.metrics.trace_hash, run.result.metrics.trace_hash);
   EXPECT_EQ(plain.result.metrics.decision_calls, 7u);
-  EXPECT_EQ(promised.result.metrics.decision_calls, 4u);
+  EXPECT_EQ(run.result.metrics.decision_calls, 4u);
 }
 
 TEST(FollowPromise, CrashedLeaderFallsBackToEveryActivation) {
@@ -702,7 +697,7 @@ TEST(SemiSynchronous, SkipAndNaiveAgreeOnPaperAlgorithmUnderSuppression) {
   spec.scheduler = "semi-synchronous";
   spec.seed = 3;
   for (const char* family :
-       {"ring", "star", "complete", "wheel", "tree", "bipartite"}) {
+       {"ring", "star", "complete", "wheel", "tree", "bipartite", "torus"}) {
     for (const char* placement : {"undispersed", "adversarial"}) {
       for (const char* fairness : {"2", "3", "5"}) {
         spec.family = family;
@@ -729,6 +724,25 @@ TEST(SemiSynchronous, SkipAndNaiveAgreeOnPaperAlgorithmUnderSuppression) {
                   naive.result.metrics.simulated_rounds);
       }
     }
+  }
+  // A larger torus run that must also gather correctly in both modes.
+  const graph::Graph g = graph::make_torus(3, 4);
+  const auto nodes = graph::nodes_undispersed_random(g, 4, 5);
+  const auto placement =
+      graph::make_placement(nodes, graph::labels_sequential(4));
+  for (const sim::Round fairness : {2ull, 3ull, 5ull}) {
+    SCOPED_TRACE("torus(3,4)/fairness " + std::to_string(fairness));
+    const auto sched =
+        std::make_shared<sim::SemiSynchronousScheduler>(17, fairness);
+    const core::RunOutcome skip =
+        run_paper_algorithm(g, placement, sched, fairness);
+    const core::RunOutcome naive =
+        run_paper_algorithm(g, placement, sched, fairness, /*naive=*/true);
+    EXPECT_EQ(skip.result.metrics.trace_hash, naive.result.metrics.trace_hash);
+    EXPECT_EQ(skip.result.metrics.rounds, naive.result.metrics.rounds);
+    EXPECT_TRUE(skip.result.gathered_at_end);
+    EXPECT_TRUE(skip.result.all_terminated);
+    EXPECT_FALSE(skip.result.false_announcement);
   }
 }
 
